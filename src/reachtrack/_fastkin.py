@@ -1,184 +1,167 @@
-"""Jitted damped-least-squares core shared by the IK solver and map builder.
+"""Batched forward kinematics and damped-least-squares (DLS) core.
 
-The burst function iterates FK + DLS toward a target camera frame inside a
-joint box until the pose tolerance is met or the iteration budget runs out.
-It is pure numerics (no collision checks) so it compiles under numba; the
-same body runs uncompiled if numba is unavailable.
+Everything here works on rows: a leading batch axis of joint vectors,
+`(B, 7)`. `_joint_frames` is the one forward-kinematics computation of the
+package. The DLS iterations call it directly; `fk_rows` wraps it for the
+scalar helpers of `kinematics` and for the batched self-collision check.
+
+`dls_rows` runs DLS (Buss 2004) on B independent rows at once. Each
+iteration evaluates the Rodrigues joint rotations, the frame chain, the
+rotation-log pose error, the Jacobian and a `(B, 6, 6)` linear solve once
+for all active rows. A row leaves the active set when it meets the pose
+tolerance or spends its own iteration budget, so its result does not depend
+on the other rows of the batch, bit for bit.
+
+`ik.ik_solve` runs its restart starts as one batch of rows, and the
+reachability-map builder solves every orientation and restart of a cell as
+one batch. `dls_burst` is the scalar `(q, converged, iterations)` form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .transforms import rotation_logs
+
 NUM_JOINTS = 7
 
+# The core is plain numpy; nothing is compiled.
+HAVE_NUMBA = False
 
-def _dls_burst_impl(axes, kmats, k2mats, tn_rot, tn_t, base_rot, base_t,
-                    cam_rot, cam_t, lo, hi, q0, target_rot, target_p,
-                    max_iters, pos_tol, rot_tol, damping, clamp_pos,
-                    clamp_rot, use_rot):
-    """Iterate DLS toward (target_rot, target_p); returns (q, converged, iters).
 
-    Levenberg-style damping grows while the residual worsens and shrinks on
-    progress. With use_rot=False the rotational error rows are zeroed
-    (position-only feasibility probes).
+def _joint_frames(chain, q: np.ndarray):
+    """Joint-major forward kinematics of joint rows q (B, 7).
+
+    Returns (frames (8, B, 4, 4), camera (B, 4, 4), s, c): frames[i] is
+    joint i's frame before its own rotation, frames[7] the flange frame;
+    s and c (7, B, 1) are sin(q) and 1 - cos(q). frames[i + 1] is
+    frames[i] @ J_i @ to_next[i], where J_i = I + s_i K_i + c_i K_i^2 is the
+    Rodrigues rotation of joint i.
     """
-    n = NUM_JOINTS
-    q = q0.copy()
-    origins = np.empty((n, 3))
-    axes_w = np.empty((n, 3))
-    e = np.empty(6)
-    jac = np.empty((6, n))
-    mu = 1.0
-    prev_err = 1e30
-    iters = 0
-    for it in range(max_iters):
-        iters = it + 1
-        # Forward kinematics: cumulative rotation R and position p.
-        rot = base_rot.copy()
-        p = base_t.copy()
-        for i in range(n):
-            for r in range(3):
-                origins[i, r] = p[r]
-                axes_w[i, r] = (rot[r, 0] * axes[i, 0] + rot[r, 1] * axes[i, 1]
-                                + rot[r, 2] * axes[i, 2])
-            s = np.sin(q[i])
-            c = 1.0 - np.cos(q[i])
-            joint_rot = s * kmats[i] + c * k2mats[i]
-            for r in range(3):
-                joint_rot[r, r] += 1.0
-            rot = np.dot(rot, joint_rot)
-            # Translation of to_next happens in the rotated joint frame,
-            # before its rotation part is folded in.
-            for r in range(3):
-                p[r] += (rot[r, 0] * tn_t[i, 0] + rot[r, 1] * tn_t[i, 1]
-                         + rot[r, 2] * tn_t[i, 2])
-            rot = np.dot(rot, tn_rot[i])
-        cam_p = np.empty(3)
-        for r in range(3):
-            cam_p[r] = p[r] + (rot[r, 0] * cam_t[0] + rot[r, 1] * cam_t[1]
-                               + rot[r, 2] * cam_t[2])
-        cam_r = np.dot(rot, cam_rot)
+    n = len(q)
+    qt = q.T[:, :, None]
+    s = np.sin(qt)
+    c = 1.0 - np.cos(qt)
+    step = s * chain._k_next
+    step += chain._to_next_flat
+    step += c * chain._k2_next
+    step = step.reshape(NUM_JOINTS, n, 4, 4)
+    frames = np.empty((NUM_JOINTS + 1, n, 4, 4))
+    frames[0] = chain.base_pose
+    for i in range(NUM_JOINTS):
+        np.matmul(frames[i], step[i], out=frames[i + 1])
+    return frames, frames[NUM_JOINTS] @ chain.camera_offset, s, c
 
-        # Pose error: position difference and rotation log of Rt @ Rc^T.
-        for r in range(3):
-            e[r] = target_p[r] - cam_p[r]
+
+def _world_axes(chain, frames: np.ndarray) -> np.ndarray:
+    """Joint axes in the world (7, B, 3) from the joint-major frames."""
+    rot = frames[:NUM_JOINTS, :, :3, :3]
+    ax = chain._axes_bcast
+    return rot[..., 0] * ax[0] + rot[..., 1] * ax[1] + rot[..., 2] * ax[2]
+
+
+def fk_rows(chain, q: np.ndarray):
+    """Forward kinematics of joint rows q (B, 7).
+
+    Returns origins (B, 7, 3), world joint axes (B, 7, 3), camera frames
+    (B, 4, 4) and rotated link frames (B, 7, 4, 4).
+    """
+    frames, camera, s, c = _joint_frames(chain, np.asarray(q, dtype=float))
+    origins = frames[:NUM_JOINTS, :, :3, 3].transpose(1, 0, 2)
+    axes_w = _world_axes(chain, frames).transpose(1, 0, 2)
+    rots = (chain._eye4_flat + s * chain._k4 + c * chain._k2_4).reshape(NUM_JOINTS, -1, 4, 4)
+    return origins, axes_w, camera, (frames[:NUM_JOINTS] @ rots).transpose(1, 0, 2, 3)
+
+
+def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float,
+             rot_tol: float, damping: float, clamp_pos: float, clamp_rot: float,
+             use_rot: bool = True, first: bool = False):
+    """Iterate DLS on every row toward its target inside the joint box [lo, hi].
+
+    q0 (B, 7) are the starts, target_rot (B, 3, 3) and target_p (B, 3) the
+    camera targets, budgets (B,) the iteration budgets. Returns
+    (q (B, 7), converged (B,), used (B,)): a converged row holds the
+    configuration that met the tolerances after `used` iterations; any other
+    row holds the configuration after its last step. Levenberg-style damping
+    grows while a row's residual worsens and shrinks on progress. With
+    use_rot=False the rotational error rows are zeroed (position-only
+    probes). With first=True the rows are ordered alternatives and only the
+    first one to converge matters: rows after it stop early and report
+    `converged` False.
+    """
+    q_out = np.array(q0, dtype=float)
+    n = len(q_out)
+    converged = np.zeros(n, dtype=bool)
+    used = np.zeros(n, dtype=int)
+    budgets = np.broadcast_to(np.asarray(budgets, dtype=int), (n,))
+    rows = np.flatnonzero(budgets > 0)
+    q = q_out[rows]
+    t_rot = np.broadcast_to(target_rot, (n, 3, 3))[rows]
+    t_p = np.broadcast_to(target_p, (n, 3))[rows]
+    left = budgets[rows]
+    its = 0
+    mu = np.ones(len(rows))
+    prev_err = np.full(len(rows), 1e30)
+    while len(rows):
+        its += 1
+        frames, camera, _, _ = _joint_frames(chain, q)
+        cam_p = camera[:, :3, 3]
+        e = np.empty((len(rows), 6))
+        np.subtract(t_p, cam_p, out=e[:, :3])
         if use_rot:
-            m = np.dot(target_rot, cam_r.T)
-            cos_a = (m[0, 0] + m[1, 1] + m[2, 2] - 1.0) / 2.0
-            if cos_a > 1.0:
-                cos_a = 1.0
-            if cos_a < -1.0:
-                cos_a = -1.0
-            angle = np.arccos(cos_a)
-            v0 = 0.5 * (m[2, 1] - m[1, 2])
-            v1 = 0.5 * (m[0, 2] - m[2, 0])
-            v2 = 0.5 * (m[1, 0] - m[0, 1])
-            if angle < 1e-8:
-                e[3] = v0
-                e[4] = v1
-                e[5] = v2
-            elif angle > np.pi - 1e-6:
-                b0 = (m[0, 0] + 1.0) / 2.0
-                b1 = (m[1, 1] + 1.0) / 2.0
-                b2 = (m[2, 2] + 1.0) / 2.0
-                if b0 >= b1 and b0 >= b2:
-                    d = np.sqrt(b0) if b0 > 1e-18 else 1e-9
-                    a0, a1, a2 = b0 / d, (m[1, 0] + m[0, 1]) / (4.0 * d), (m[2, 0] + m[0, 2]) / (4.0 * d)
-                elif b1 >= b2:
-                    d = np.sqrt(b1) if b1 > 1e-18 else 1e-9
-                    a0, a1, a2 = (m[0, 1] + m[1, 0]) / (4.0 * d), b1 / d, (m[2, 1] + m[1, 2]) / (4.0 * d)
-                else:
-                    d = np.sqrt(b2) if b2 > 1e-18 else 1e-9
-                    a0, a1, a2 = (m[0, 2] + m[2, 0]) / (4.0 * d), (m[1, 2] + m[2, 1]) / (4.0 * d), b2 / d
-                nrm = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
-                if nrm < 1e-12:
-                    nrm = 1.0
-                a0, a1, a2 = a0 / nrm, a1 / nrm, a2 / nrm
-                if a0 * v0 + a1 * v1 + a2 * v2 < 0.0:
-                    a0, a1, a2 = -a0, -a1, -a2
-                e[3] = angle * a0
-                e[4] = angle * a1
-                e[5] = angle * a2
-            else:
-                sc = angle / np.sin(angle)
-                e[3] = sc * v0
-                e[4] = sc * v1
-                e[5] = sc * v2
+            e[:, 3:] = rotation_logs(t_rot @ camera[:, :3, :3].transpose(0, 2, 1))
         else:
-            e[3] = 0.0
-            e[4] = 0.0
-            e[5] = 0.0
-
-        pe = np.sqrt(e[0] ** 2 + e[1] ** 2 + e[2] ** 2)
-        re = np.sqrt(e[3] ** 2 + e[4] ** 2 + e[5] ** 2)
-        if pe <= pos_tol and (not use_rot or re <= rot_tol):
-            return q, True, iters
+            e[:, 3:] = 0.0
+        sq = e * e
+        pe = np.sqrt(sq[:, :3].sum(axis=1))
+        re = np.sqrt(sq[:, 3:].sum(axis=1))
+        conv = pe <= pos_tol
+        if use_rot:
+            conv &= re <= rot_tol
 
         err = pe + re
-        if err > prev_err + 1e-12:
-            mu = min(mu * 3.0, 1e4)
-        else:
-            mu = max(mu * 0.7, 1e-3)
+        mu = np.where(err > prev_err + 1e-12, np.minimum(mu * 3.0, 1e4),
+                      np.maximum(mu * 0.7, 1e-3))
         prev_err = err
+        # Clamp each error part to its norm cap (a factor of exactly 1 below it).
+        e[:, :3] *= (clamp_pos / np.maximum(pe, clamp_pos))[:, None]
+        e[:, 3:] *= (clamp_rot / np.maximum(re, clamp_rot))[:, None]
 
-        if pe > clamp_pos:
-            sc = clamp_pos / pe
-            e[0] *= sc
-            e[1] *= sc
-            e[2] *= sc
-        if re > clamp_rot:
-            sc = clamp_rot / re
-            e[3] *= sc
-            e[4] *= sc
-            e[5] *= sc
+        # Jacobian columns: axis x (camera - joint origin) over the axis.
+        axes_w = _world_axes(chain, frames)
+        r = cam_p - frames[:NUM_JOINTS, :, :3, 3]
+        jac = np.empty((len(rows), 6, NUM_JOINTS))
+        jac[:, 0] = (axes_w[..., 1] * r[..., 2] - axes_w[..., 2] * r[..., 1]).T
+        jac[:, 1] = (axes_w[..., 2] * r[..., 0] - axes_w[..., 0] * r[..., 2]).T
+        jac[:, 2] = (axes_w[..., 0] * r[..., 1] - axes_w[..., 1] * r[..., 0]).T
+        jac[:, 3:] = axes_w.transpose(1, 2, 0)
+        jac_t = jac.transpose(0, 2, 1).copy()
+        jjt = jac @ jac_t
+        jjt.reshape(len(rows), 36)[:, ::7] += (damping + mu * (e * e).sum(axis=1))[:, None]
+        dq = (jac_t @ np.linalg.solve(jjt, e[:, :, None]))[:, :, 0]
+        q_next = np.clip(q + dq, lo, hi)
 
-        for i in range(n):
-            rx = cam_p[0] - origins[i, 0]
-            ry = cam_p[1] - origins[i, 1]
-            rz = cam_p[2] - origins[i, 2]
-            jac[0, i] = axes_w[i, 1] * rz - axes_w[i, 2] * ry
-            jac[1, i] = axes_w[i, 2] * rx - axes_w[i, 0] * rz
-            jac[2, i] = axes_w[i, 0] * ry - axes_w[i, 1] * rx
-            jac[3, i] = axes_w[i, 0]
-            jac[4, i] = axes_w[i, 1]
-            jac[5, i] = axes_w[i, 2]
-
-        jjt = np.dot(jac, jac.T)
-        lam = damping + mu * (e[0] ** 2 + e[1] ** 2 + e[2] ** 2
-                              + e[3] ** 2 + e[4] ** 2 + e[5] ** 2)
-        for r in range(6):
-            jjt[r, r] += lam
-        dq = np.dot(jac.T, np.linalg.solve(jjt, e))
-        for i in range(n):
-            v = q[i] + dq[i]
-            if v < lo[i]:
-                v = lo[i]
-            if v > hi[i]:
-                v = hi[i]
-            q[i] = v
-    return q, False, iters
+        done = conv | (its >= left)
+        if first and conv.any():
+            later = rows > rows[conv][0]
+            conv &= ~later
+            done |= later
+        if done.any():
+            fin = rows[done]
+            q_out[fin] = np.where(conv[done, None], q[done], q_next[done])
+            converged[fin] = conv[done]
+            used[fin] = its
+            keep = ~done
+            rows, q_next = rows[keep], q_next[keep]
+            mu, prev_err = mu[keep], prev_err[keep]
+            t_rot, t_p, left = t_rot[keep], t_p[keep], left[keep]
+        q = q_next
+    return q_out, converged, used
 
 
-try:
-    from numba import njit
-
-    dls_burst = njit(cache=True)(_dls_burst_impl)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard speed dependency
-    dls_burst = _dls_burst_impl
-    HAVE_NUMBA = False
-
-
-def burst_args(chain):
-    """The static chain arrays dls_burst needs, in positional order."""
-    return (chain.axes, chain._k, chain._k2, chain._tn_rot, chain._tn_t,
-            chain._base_rot, chain._base_t, chain._cam_rot, chain._cam_t)
-
-
-def warmup(chain) -> None:
-    """Trigger JIT compilation once (cached on disk afterwards)."""
-    q = np.zeros(NUM_JOINTS)
-    dls_burst(*burst_args(chain), chain.joint_limits[:, 0].copy(),
-              chain.joint_limits[:, 1].copy(), q, np.eye(3), np.zeros(3),
-              1, 1e-3, 1e-2, 1e-3, 0.2, 0.5, True)
+def dls_burst(chain, q0, target_rot, target_p, max_iters: int, lo, hi, **settings):
+    """One row of `dls_rows`, as a (q (7,), converged, iterations) triple."""
+    q, converged, used = dls_rows(chain, np.asarray(q0, dtype=float)[None],
+                                  np.asarray(target_rot)[None], np.asarray(target_p)[None],
+                                  [max_iters], lo, hi, **settings)
+    return q[0], bool(converged[0]), int(used[0])

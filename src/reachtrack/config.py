@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -88,14 +88,14 @@ def _build_planner(data: dict) -> PlannerParams:
     vectors = {"delta_lower", "delta_upper"}
     _known_fields(data, simple | weights | vectors, "planner")
     kw = {}
-    for key, value in data.items():
-        if key in weights:
-            kw[key] = RescaleWeights.of(value)
-        elif key in vectors:
-            kw[key] = np.asarray(value, dtype=float)
-        else:
-            kw[key] = value
     try:
+        for key, value in data.items():
+            if key in weights:
+                kw[key] = RescaleWeights.of(value)
+            elif key in vectors:
+                kw[key] = np.asarray(value, dtype=float)
+            else:
+                kw[key] = value
         return replace(params, **kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"planner: {exc}") from exc
@@ -174,10 +174,3 @@ def load_config(path) -> ExperimentConfig:
 
 def default_config() -> ExperimentConfig:
     return config_from_dict(default_config_dict())
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    d = asdict(spec)
-    d["ablation"] = spec.ablation.label()
-    d.pop("explicit_obstacles", None)
-    return d

@@ -24,43 +24,48 @@ def point_segment_distance(points: np.ndarray, a, b) -> np.ndarray:
     return dist if np.ndim(points) == 2 else float(dist[0])
 
 
-def segment_segment_distance(p1, q1, p2, q2) -> float:
-    """Minimum distance between segments p1-q1 and p2-q2 (clamped closest-point)."""
-    p1 = np.asarray(p1, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
+def _point_on_segment_distance(x, p, d, dd):
+    """Distances from points x to segments p + t d, t in [0, 1]; dd = d . d."""
+    t = np.clip(((x - p) * d).sum(axis=-1) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    diff = x - p - t[..., None] * d
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def segment_distances(p1, q1, p2, q2) -> np.ndarray:
+    """Minimum distances between segments p1-q1 and p2-q2, over any leading
+    axes of the (..., 3) endpoint arrays.
+
+    The closest pair has an endpoint of one segment in it, or is the pair of
+    closest points of the two lines when both lie inside the segments. Every
+    candidate is a distance between points of the segments, so the smallest
+    is the answer, also for parallel and zero-length segments.
+    """
+    p1, q1, p2, q2 = (np.asarray(v, dtype=float) for v in (p1, q1, p2, q2))
     d1 = q1 - p1
     d2 = q2 - p2
+    a = (d1 * d1).sum(axis=-1)
+    e = (d2 * d2).sum(axis=-1)
+    best = np.minimum(
+        np.minimum(_point_on_segment_distance(p1, p2, d2, e),
+                   _point_on_segment_distance(q1, p2, d2, e)),
+        np.minimum(_point_on_segment_distance(p2, p1, d1, a),
+                   _point_on_segment_distance(q2, p1, d1, a)))
     r = p1 - p2
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    eps = 1e-14
-    if a <= eps and e <= eps:
-        return float(np.linalg.norm(r))
-    if a <= eps:
-        s = 0.0
-        t = np.clip(f / e, 0.0, 1.0)
-    else:
-        c = d1 @ r
-        if e <= eps:
-            t = 0.0
-            s = np.clip(-c / a, 0.0, 1.0)
-        else:
-            b = d1 @ d2
-            denom = a * e - b * b
-            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > eps else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t = 0.0
-                s = np.clip(-c / a, 0.0, 1.0)
-            elif t > 1.0:
-                t = 1.0
-                s = np.clip((b - c) / a, 0.0, 1.0)
-    closest1 = p1 + s * d1
-    closest2 = p2 + t * d2
-    return float(np.linalg.norm(closest1 - closest2))
+    b = (d1 * d2).sum(axis=-1)
+    c = (d1 * r).sum(axis=-1)
+    f = (d2 * r).sum(axis=-1)
+    denom = a * e - b * b
+    safe = np.where(denom > 0.0, denom, 1.0)
+    s = (b * f - c * e) / safe
+    t = (a * f - b * c) / safe
+    inside = (denom > 0.0) & (s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0)
+    diff = r + s[..., None] * d1 - t[..., None] * d2
+    return np.where(inside, np.minimum(best, np.sqrt((diff * diff).sum(axis=-1))), best)
+
+
+def segment_segment_distance(p1, q1, p2, q2) -> float:
+    """Minimum distance between segments p1-q1 and p2-q2."""
+    return float(segment_distances(p1, q1, p2, q2))
 
 
 def point_aabb_distance(points: np.ndarray, lo, hi) -> np.ndarray:
@@ -171,10 +176,6 @@ def _dist2d_to_segment(px, py, ax, ay, bx, by):
     ex = px - (ax + t * dx)
     ey = py - (ay + t * dy)
     return np.sqrt(ex * ex + ey * ey)
-
-
-def capsules_intersect(a1, b1, r1, a2, b2, r2) -> bool:
-    return segment_segment_distance(a1, b1, a2, b2) < r1 + r2
 
 
 def segment_sphere_intersects(a, b, center, radius: float) -> bool:

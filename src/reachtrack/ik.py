@@ -1,20 +1,25 @@
 """Real-time inverse kinematics for the camera pose.
 
-Damped-least-squares bursts on the pose error (jitted core) alternate with
-nullspace repair steps on joint-space continuity and obstacle clearance. A
-solution must satisfy the pose tolerance, joint limits, the per-tick
-joint-speed cap, self-collision freedom and the grid clearance margin;
-otherwise the call fails and the caller holds the previous configuration.
+Damped-least-squares bursts on the pose error alternate with nullspace
+repair steps on joint-space continuity and obstacle clearance. A solution
+must satisfy the pose tolerance, joint limits, the per-tick joint-speed
+cap, self-collision freedom and the grid clearance margin; otherwise the
+call fails and the caller holds the previous configuration.
+
+The bursts run on the batched core of `_fastkin`. `ik_solve` runs the
+bursts from its restart starts speculatively, side by side, and keeps the
+first that converges, which is the burst the one-at-a-time loop would
+reach. The map builder solves whole cells of rows at once (`reach_rows`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kinematics as kin
-from ._fastkin import burst_args, dls_burst
+from ._fastkin import dls_burst, dls_rows
 from .transforms import Pose6
 from .world import OccupancyGrid
 
@@ -74,12 +79,52 @@ def _constraints_ok(chain, q, centers, inflation, margin, frames) -> bool:
     return _clearance(chain, q, centers, inflation, frames) >= margin
 
 
+def _settings(params: IkParams) -> dict:
+    """The `dls_rows` keywords of an IK parameter set."""
+    return dict(pos_tol=params.pos_tolerance, rot_tol=params.rot_tolerance,
+                damping=params.damping, clamp_pos=params.error_clamp_pos,
+                clamp_rot=params.error_clamp_rot)
+
+
+def _perturbations(n: int) -> np.ndarray:
+    """The first n restart draws u_1..u_n in [-1, 1]^7; restart k starts from
+    clip(q_prev + u_k * span). The same draws for every call and every row."""
+    return np.random.default_rng(_PERTURB_SEED).uniform(-1.0, 1.0, (n, kin.NUM_JOINTS))
+
+
+def _first_converged(chain, params, target_rot, target_p, q_prev, span, lo, hi,
+                     budget: int, k: int):
+    """Bursts from starts k, k+1, ... run side by side, each with the budget
+    it has in the sequential loop if every earlier burst fails to converge
+    (a failed burst spends `burst_iterations`). Returns (q, budget left,
+    index of the next start) of the first burst that converges, or None."""
+    cost = max(params.burst_iterations, 1)
+    n = -(-budget // cost)
+    budgets = np.minimum(params.burst_iterations, budget - cost * np.arange(n))
+    seeds = np.clip(q_prev + _perturbations(k + n - 1) * span, lo, hi)
+    starts = np.vstack([q_prev, seeds])[k:]
+    q, converged, used = dls_rows(chain, starts, target_rot, target_p, budgets, lo, hi,
+                                  first=True, **_settings(params))
+    hit = np.flatnonzero(converged)
+    if not len(hit):
+        return None
+    j = int(hit[0])
+    return q[j], budget - cost * j - max(int(used[j]), 1), k + j + 1
+
+
 def ik_solve(chain: kin.KinematicChain, target: Pose6, q_prev: np.ndarray,
              grid: OccupancyGrid | None, params: IkParams) -> np.ndarray | None:
     """Solve for a joint configuration reaching `target` from `q_prev`.
 
     Returns the configuration on success, None on failure (the caller holds
     q_prev). Deterministic for identical inputs.
+
+    Sequentially, a call is a loop of DLS bursts: from q_prev first, then
+    from perturbed seeds, until a burst converges to a pose that passes the
+    constraints or nullspace repair, or the iteration budget runs out. The
+    starts of that loop do not depend on the bursts' outcomes, so the bursts
+    still to come run speculatively as one batch; the first one to converge
+    is the one the sequential loop would reach, with the same budget.
     """
     target_p = np.ascontiguousarray(target.p)
     if np.linalg.norm(target_p - chain.base_position()) > chain.max_reach():
@@ -99,58 +144,87 @@ def ik_solve(chain: kin.KinematicChain, target: Pose6, q_prev: np.ndarray,
         lo = np.maximum(lo, q_prev - params.speed_cap)
         hi = np.minimum(hi, q_prev + params.speed_cap)
     q_prev = np.clip(np.asarray(q_prev, dtype=float), lo, hi)
+    span = np.minimum(hi - q_prev, q_prev - lo)
 
-    rng = np.random.default_rng(_PERTURB_SEED)
-    static = burst_args(chain)
+    settings = _settings(params)
     margin = params.clearance_margin
     repair_limit = 2.0 * margin
     budget = params.max_iterations
-    q_start = q_prev.copy()
+    k = 0                                   # the next start: q_prev, then seed k
     while budget > 0:
-        q, converged, used = dls_burst(
-            *static, lo, hi, q_start, target_rot, target_p,
-            min(budget, params.burst_iterations), params.pos_tolerance,
-            params.rot_tolerance, params.damping, params.error_clamp_pos,
-            params.error_clamp_rot, True)
-        budget -= max(used, 1)
-        if converged:
+        found = _first_converged(chain, params, target_rot, target_p, q_prev, span,
+                                 lo, hi, budget, k)
+        if found is None:
+            return None
+        q, budget, k = found
+        frames = kin._frame_chain(chain, q)[2]
+        if _constraints_ok(chain, q, centers, inflation, margin, frames):
+            return q
+        # Nullspace repair: hold the pose, walk the redundancy toward
+        # continuity and clearance.
+        for _ in range(params.repair_steps):
+            if budget <= 0:
+                break
+            origins, axes_w, frames, camera = kin._frame_chain(chain, q)
+            jac = kin._jacobian_from(origins, axes_w, camera[:3, 3])
+            jjt = jac @ jac.T
+            jjt[np.diag_indices_from(jjt)] += params.damping
+            jsharp = jac.T @ np.linalg.inv(jjt)
+            z = -params.continuity_weight * (q - q_prev)
+            if centers is not None and params.collision_weight > 0.0:
+                z = z + params.collision_weight * _repulsion(
+                    chain, q, centers, inflation, repair_limit)
+            z = (np.eye(kin.NUM_JOINTS) - jsharp @ jac) @ z
+            if np.max(np.abs(z)) < 1e-12:
+                break
+            q_repair = np.clip(q + z, lo, hi)
+            q, converged, used = dls_burst(chain, q_repair, target_rot, target_p,
+                                           min(budget, 25), lo, hi, **settings)
+            budget -= max(used, 1)
+            if not converged:
+                break
             frames = kin._frame_chain(chain, q)[2]
             if _constraints_ok(chain, q, centers, inflation, margin, frames):
                 return q
-            # Nullspace repair: hold the pose, walk the redundancy toward
-            # continuity and clearance.
-            for _ in range(params.repair_steps):
-                if budget <= 0:
-                    break
-                origins, axes_w, frames, camera = kin._frame_chain(chain, q)
-                jac = kin._jacobian_from(origins, axes_w, camera[:3, 3])
-                jjt = jac @ jac.T
-                jjt[np.diag_indices_from(jjt)] += params.damping
-                jsharp = jac.T @ np.linalg.inv(jjt)
-                z = -params.continuity_weight * (q - q_prev)
-                if centers is not None and params.collision_weight > 0.0:
-                    z = z + params.collision_weight * _repulsion(
-                        chain, q, centers, inflation, repair_limit)
-                z = (np.eye(kin.NUM_JOINTS) - jsharp @ jac) @ z
-                if np.max(np.abs(z)) < 1e-12:
-                    break
-                q_repair = np.clip(q + z, lo, hi)
-                q, converged, used = dls_burst(
-                    *static, lo, hi, q_repair, target_rot, target_p,
-                    min(budget, 25), params.pos_tolerance, params.rot_tolerance,
-                    params.damping, params.error_clamp_pos,
-                    params.error_clamp_rot, True)
-                budget -= max(used, 1)
-                if not converged:
-                    break
-                frames = kin._frame_chain(chain, q)[2]
-                if _constraints_ok(chain, q, centers, inflation, margin, frames):
-                    return q
-        # Restart from a perturbed seed inside the feasible box.
-        span = np.minimum(hi - q_prev, q_prev - lo)
-        q_start = np.clip(q_prev + rng.uniform(-1.0, 1.0, kin.NUM_JOINTS) * span,
-                          lo, hi)
     return None
+
+
+def reach_rows(chain: kin.KinematicChain, q0: np.ndarray, target_rot: np.ndarray,
+               target_p: np.ndarray, params: IkParams):
+    """Per row: does `ik_solve` from q0 (B, 7) reach its target (B, 3, 3) and
+    (B, 3), with no grid, no speed cap and no continuity weight? Returns
+    (hit (B,), q (B, 7)), where q holds the solution of each hit row.
+
+    Without a grid and a continuity pull the nullspace repair never moves,
+    so a row is a loop of bursts: a burst that converges to a pose free of
+    self-collision is a hit; any other burst restarts the row from the next
+    perturbed seed with the budget it has left. All rows run side by side.
+    """
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    q0 = np.clip(np.asarray(q0, dtype=float), lo, hi)
+    n = len(q0)
+    span = np.minimum(hi - q0, q0 - lo)
+    draws = _perturbations(max(params.max_iterations, 0))
+    settings = _settings(params)
+    hit = np.zeros(n, dtype=bool)
+    solution = np.full((n, kin.NUM_JOINTS), np.nan)
+    left = np.full(n, params.max_iterations)
+    starts = q0.copy()
+    restarts = np.zeros(n, dtype=int)
+    live = np.flatnonzero(left > 0)
+    while len(live):
+        q, converged, used = dls_rows(chain, starts[live], target_rot[live], target_p[live],
+                                      np.minimum(left[live], params.burst_iterations),
+                                      lo, hi, **settings)
+        left[live] -= np.maximum(used, 1)
+        ok = converged.copy()
+        ok[converged] = ~kin.self_collision_rows(chain, q[converged])
+        hit[live[ok]] = True
+        solution[live[ok]] = q[ok]
+        live = live[~ok & (left[live] > 0)]
+        restarts[live] += 1
+        starts[live] = np.clip(q0[live] + draws[restarts[live] - 1] * span[live], lo, hi)
+    return hit, solution
 
 
 def position_reachable(chain: kin.KinematicChain, p: np.ndarray, seed,
@@ -160,22 +234,17 @@ def position_reachable(chain: kin.KinematicChain, p: np.ndarray, seed,
 
     Used by the reachability builder to skip whole cells: if no joint
     configuration places the camera at p, no orientation sample can succeed.
+    The random starts run side by side.
     """
     p = np.ascontiguousarray(np.asarray(p, dtype=float))
     if np.linalg.norm(p - chain.base_position()) > chain.max_reach():
         return False
-    rng = np.random.default_rng(seed)
-    static = burst_args(chain)
-    lo = chain.joint_limits[:, 0].copy()
-    hi = chain.joint_limits[:, 1].copy()
-    eye = np.eye(3)
-    for _ in range(restarts):
-        q0 = chain.random_config(rng)
-        _, ok, _ = dls_burst(*static, lo, hi, q0, eye, p, iterations, tol,
-                             1e9, 1e-3, 0.3, 0.5, False)
-        if ok:
-            return True
-    return False
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    q0 = np.random.default_rng(seed).uniform(lo, hi, (restarts, kin.NUM_JOINTS))
+    _, ok, _ = dls_rows(chain, q0, np.eye(3), p, iterations, lo, hi, pos_tol=tol,
+                        rot_tol=1e9, damping=1e-3, clamp_pos=0.3, clamp_rot=0.5,
+                        use_rot=False, first=True)
+    return bool(ok.any())
 
 
 def ik_reachable(chain: kin.KinematicChain, target: Pose6, seed,
@@ -189,12 +258,10 @@ def ik_reachable(chain: kin.KinematicChain, target: Pose6, seed,
         raise ValueError("restarts must be >= 1")
     if params is None:
         params = IkParams(max_iterations=80)
-    params = replace(params, speed_cap=float("inf"), continuity_weight=0.0)
     if np.linalg.norm(target.p - chain.base_position()) > chain.max_reach():
         return False
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        q0 = chain.random_config(rng)
-        if ik_solve(chain, target, q0, None, params) is not None:
-            return True
-    return False
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    q0 = np.random.default_rng(seed).uniform(lo, hi, (restarts, kin.NUM_JOINTS))
+    rot = np.broadcast_to(target.rotation(), (restarts, 3, 3))
+    p = np.broadcast_to(target.p, (restarts, 3))
+    return bool(reach_rows(chain, q0, rot, p, params)[0].any())

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import point_segment_distance, segment_segment_distance
+from ._fastkin import fk_rows
+from .geometry import point_segment_distance, segment_distances
 from .transforms import (
     Pose6,
     is_rigid_transform,
@@ -67,19 +68,31 @@ class KinematicChain:
         self.base_pose = np.asarray(self.base_pose, dtype=float).reshape(4, 4)
         self.home = np.asarray(self.home, dtype=float).reshape(NUM_JOINTS)
         self._validate()
-        # Rodrigues ingredients per joint, precomputed for the FK hot loop,
-        # plus split rotation/translation parts for the jitted solver core.
-        k = np.zeros((NUM_JOINTS, 3, 3))
+        # Constants of the batched FK core (`_fastkin.fk_rows`): the Rodrigues
+        # ingredients K_i and K_i^2 as 4x4 blocks, and their products with
+        # to_next[i]; plus the capsule table of the self-collision check.
+        k = np.zeros((NUM_JOINTS, 4, 4))
         for i, (x, y, z) in enumerate(self.axes):
-            k[i] = [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
-        self._k = k
-        self._k2 = k @ k
-        self._tn_rot = np.ascontiguousarray(self.to_next[:, :3, :3])
-        self._tn_t = np.ascontiguousarray(self.to_next[:, :3, 3])
-        self._cam_rot = np.ascontiguousarray(self.camera_offset[:3, :3])
-        self._cam_t = np.ascontiguousarray(self.camera_offset[:3, 3])
-        self._base_rot = np.ascontiguousarray(self.base_pose[:3, :3])
-        self._base_t = np.ascontiguousarray(self.base_pose[:3, 3])
+            k[i, :3, :3] = [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+        k2 = k @ k
+        flat = (NUM_JOINTS, 1, 16)          # joint-major, one row per joint
+        self._eye4_flat = np.eye(4).reshape(1, 1, 16)
+        self._k4 = k.reshape(flat)
+        self._k2_4 = k2.reshape(flat)
+        self._to_next_flat = self.to_next.reshape(flat)
+        self._k_next = (k @ self.to_next).reshape(flat)
+        self._k2_next = (k2 @ self.to_next).reshape(flat)
+        self._axes_bcast = self.axes.T[:, :, None, None].copy()   # (3, 7, 1, 1)
+        links = [i for i, c in enumerate(self.link_capsules) if c is not None]
+        caps = [self.link_capsules[i] for i in links]
+        self._cap_links = np.array(links, dtype=int)
+        self._cap_a = np.array([c.a for c in caps], dtype=float).reshape(-1, 3, 1)
+        self._cap_b = np.array([c.b for c in caps], dtype=float).reshape(-1, 3, 1)
+        self._cap_r = np.array([c.radius for c in caps], dtype=float)
+        # Capsule pairs on non-adjacent links; adjacent ones touch at their joint.
+        pairs = [(m, n) for m in range(len(links)) for n in range(m + 1, len(links))
+                 if abs(links[m] - links[n]) >= 2]
+        self._cap_pairs = np.array(pairs, dtype=int).reshape(-1, 2).T
 
     def _validate(self):
         norms = np.linalg.norm(self.axes, axis=1)
@@ -260,31 +273,10 @@ class FkResult:
     link_frames: list[np.ndarray]       # one per link, rotated joint frames
 
 
-def _joint_rotation(chain: KinematicChain, i: int, qi: float) -> np.ndarray:
-    return (np.eye(3) + np.sin(qi) * chain._k[i]
-            + (1.0 - np.cos(qi)) * chain._k2[i])
-
-
 def _frame_chain(chain: KinematicChain, q: np.ndarray):
     """Per-joint world data: origins, world axes, rotated link frames, camera."""
-    q = np.asarray(q, dtype=float)
-    # All joint rotations in one vectorized Rodrigues evaluation.
-    rots = (np.eye(3)
-            + np.sin(q)[:, None, None] * chain._k
-            + (1.0 - np.cos(q))[:, None, None] * chain._k2)
-    t = chain.base_pose
-    origins = np.empty((NUM_JOINTS, 3))
-    axes_w = np.empty((NUM_JOINTS, 3))
-    link_frames = []
-    for i in range(NUM_JOINTS):
-        origins[i] = t[:3, 3]
-        axes_w[i] = t[:3, :3] @ chain.axes[i]
-        rotated = t.copy()
-        rotated[:3, :3] = t[:3, :3] @ rots[i]
-        link_frames.append(rotated)
-        t = rotated @ chain.to_next[i]
-    camera = t @ chain.camera_offset
-    return origins, axes_w, link_frames, camera
+    origins, axes_w, camera, links = fk_rows(chain, np.asarray(q, dtype=float)[None])
+    return origins[0], axes_w[0], list(links[0]), camera[0]
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,26 +328,26 @@ def world_capsules(chain: KinematicChain, q: np.ndarray,
     return out
 
 
+def self_collision_rows(chain: KinematicChain, q: np.ndarray,
+                        links: np.ndarray | None = None) -> np.ndarray:
+    """Per joint row of q (B, 7): does any pair of non-adjacent link capsules
+    intersect? `links` are the rows' link frames (B, 7, 4, 4), if known."""
+    if links is None:
+        links = fk_rows(chain, q)[3]
+    frames = links[:, chain._cap_links]
+    rot, origin = frames[..., :3, :3], frames[..., :3, 3]
+    a = (rot @ chain._cap_a)[..., 0] + origin
+    b = (rot @ chain._cap_b)[..., 0] + origin
+    m, n = chain._cap_pairs
+    d = segment_distances(a[:, m], b[:, m], a[:, n], b[:, n])
+    return (d < chain._cap_r[m] + chain._cap_r[n]).any(axis=1)
+
+
 def self_collision(chain: KinematicChain, q: np.ndarray,
                    link_frames: list[np.ndarray] | None = None) -> bool:
     """True iff any pair of non-adjacent link capsules intersects."""
-    if link_frames is None:
-        link_frames = _frame_chain(chain, q)[2]
-    caps = []
-    for i, c in enumerate(chain.link_capsules):
-        if c is None:
-            continue
-        f = link_frames[i]
-        caps.append((i, f[:3, :3] @ c.a + f[:3, 3], f[:3, :3] @ c.b + f[:3, 3], c.radius))
-    for m in range(len(caps)):
-        for n in range(m + 1, len(caps)):
-            i, a1, b1, r1 = caps[m]
-            j, a2, b2, r2 = caps[n]
-            if abs(i - j) < 2:
-                continue
-            if segment_segment_distance(a1, b1, a2, b2) < r1 + r2:
-                return True
-    return False
+    links = None if link_frames is None else np.asarray(link_frames)[None]
+    return bool(self_collision_rows(chain, np.asarray(q, dtype=float)[None], links)[0])
 
 
 def min_capsule_point_clearance(chain: KinematicChain, q: np.ndarray, points: np.ndarray,

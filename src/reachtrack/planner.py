@@ -10,13 +10,13 @@ threshold. The decision variable is the bounded per-tick pose change.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .reachability import ReachabilityMap
-from .transforms import Pose6, compose_pose_delta, euler_xyz_to_matrix
+from .transforms import Pose6, compose_pose_delta
 from .world import (
     NO_OCCUPANCY_DISTANCE,
     OccupancyGrid,
@@ -352,13 +352,6 @@ def plan_step(inp: PlannerInput, params: PlannerParams,
         degraded = True
     return PlanResult(delta=best_x, objective=float(best_f),
                       evaluations=evals, degraded=degraded)
-
-
-def timed_plan_step(inp: PlannerInput, params: PlannerParams,
-                    eval_cap: int | None = None):
-    t0 = time.perf_counter()
-    result = plan_step(inp, params, eval_cap=eval_cap)
-    return result, (time.perf_counter() - t0) * 1e3
 
 
 def calibrate_eval_cap(inp: PlannerInput, params: PlannerParams,

@@ -8,13 +8,13 @@ interpolate position only.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ik import IkParams, ik_reachable, position_reachable
+# ik_reachable is the one-orientation form of _score_cells; it stays importable here.
+from .ik import IkParams, ik_reachable, position_reachable, reach_rows  # noqa: F401
 from .kinematics import KinematicChain
 from .transforms import Pose6, matrix_to_euler_xyz
 
@@ -111,9 +111,18 @@ def sample_orientations(n: int, seed: int) -> np.ndarray:
 def _score_cells(chain: KinematicChain, centers: np.ndarray, flat_indices: np.ndarray,
                  eulers: np.ndarray, seed: int, restarts: int,
                  ik_params: IkParams) -> np.ndarray:
+    """Score cells: the share of orientations that `ik_reachable` reaches.
+
+    A cell that passes the position probe is solved as one batch of
+    n_orientations x restarts rows (see `ik.reach_rows`); orientation k
+    draws its restart starts from the seed (seed, cell, k), as
+    `ik_reachable` does.
+    """
     base = chain.base_position()
     reach = chain.max_reach()
     n = len(eulers)
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    rots = np.repeat([Pose6(r=r).rotation() for r in eulers], restarts, axis=0)
     scores = np.zeros(len(centers))
     for row, (center, flat) in enumerate(zip(centers, flat_indices)):
         if np.linalg.norm(center - base) > reach:
@@ -121,13 +130,11 @@ def _score_cells(chain: KinematicChain, centers: np.ndarray, flat_indices: np.nd
         pos_ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(flat), n))
         if not position_reachable(chain, center, pos_ss, restarts=6):
             continue
-        hits = 0
-        for k in range(n):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(flat), k))
-            if ik_reachable(chain, Pose6(p=center, r=eulers[k]),
-                            seed=ss, restarts=restarts, params=ik_params):
-                hits += 1
-        scores[row] = hits / n
+        q0 = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(flat), k)))
+            .uniform(lo, hi, (restarts, len(lo))) for k in range(n)])
+        hits = reach_rows(chain, q0, rots, np.broadcast_to(center, (len(q0), 3)), ik_params)[0]
+        scores[row] = hits.reshape(n, restarts).any(axis=1).sum() / n
     return scores
 
 
@@ -180,12 +187,6 @@ def build_map(chain: KinematicChain, box_lo, box_hi,
         scores=scores.reshape(dims), chain_hash=chain.hash(),
         n_orientations=n_orientations, seed=seed, restarts=restarts,
     )
-
-
-def timed_build_map(*args, **kwargs):
-    t0 = time.perf_counter()
-    rmap = build_map(*args, **kwargs)
-    return rmap, time.perf_counter() - t0
 
 
 # -- persistence -------------------------------------------------------------

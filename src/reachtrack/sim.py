@@ -26,7 +26,6 @@ from .transforms import Pose6, compose_pose_delta
 from .world import (
     PlacedBody,
     Sphere,
-    arm_collides,
     min_body_distance,
     rasterize,
     segment_visibility,

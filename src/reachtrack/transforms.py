@@ -74,24 +74,37 @@ def axis_angle_to_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def rotation_logs(m: np.ndarray) -> np.ndarray:
+    """Rotation vectors (axis * angle, angle in [0, pi]) of rotation
+    matrices m (B, 3, 3), as (B, 3)."""
+    cos_a = np.clip((m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2] - 1.0) / 2.0, -1.0, 1.0)
+    angle = np.arccos(cos_a)
+    vee = np.empty((len(m), 3))
+    vee[:, 0] = m[:, 2, 1] - m[:, 1, 2]
+    vee[:, 1] = m[:, 0, 2] - m[:, 2, 0]
+    vee[:, 2] = m[:, 1, 0] - m[:, 0, 1]
+    vee *= 0.5
+    scale = np.ones_like(angle)
+    mid = angle >= 1e-8
+    scale[mid] = angle[mid] / np.sin(angle[mid])
+    out = scale[:, None] * vee
+    for r in np.flatnonzero(angle > np.pi - 1e-6):
+        # Near pi the vee part vanishes: take the axis from the symmetric
+        # part, the row of (m + m^T) / 4 + I / 2 with the largest diagonal.
+        b = (m[r] + m[r].T) / 4.0 + np.eye(3) / 2.0
+        i = int(np.argmax(np.diag(b)))
+        axis = b[i] / np.sqrt(max(b[i, i], 1e-18))
+        nrm = np.sqrt(axis @ axis)
+        axis = axis / (nrm if nrm >= 1e-12 else 1.0)
+        if axis @ vee[r] < 0.0:
+            axis = -axis
+        out[r] = angle[r] * axis
+    return out
+
+
 def rotation_log(m: np.ndarray) -> np.ndarray:
     """Rotation vector (axis * angle, angle in [0, pi]) of a rotation matrix."""
-    cos_a = np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0)
-    angle = float(np.arccos(cos_a))
-    vee = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    if angle < 1e-8:
-        return vee
-    if angle > np.pi - 1e-6:
-        # Near pi the off-diagonal vee vanishes; recover the axis from the
-        # symmetric part (largest diagonal entry of (m + I)/2).
-        b = (m + np.eye(3)) / 2.0
-        i = int(np.argmax(np.diag(b)))
-        axis = b[:, i] / np.sqrt(max(b[i, i], 1e-18))
-        axis = axis / np.linalg.norm(axis)
-        if np.dot(axis, vee) < 0.0:
-            axis = -axis
-        return angle * axis
-    return (angle / np.sin(angle)) * vee
+    return rotation_logs(np.asarray(m, dtype=float)[None])[0]
 
 
 def make_transform(rotation: np.ndarray, translation) -> np.ndarray:
@@ -104,14 +117,6 @@ def make_transform(rotation: np.ndarray, translation) -> np.ndarray:
 def transform_from_xyz_rpy(xyz, rpy) -> np.ndarray:
     """4x4 transform from a translation and Euler-XYZ rotation."""
     return make_transform(euler_xyz_to_matrix(np.asarray(rpy, dtype=float)), xyz)
-
-
-def invert_transform(t: np.ndarray) -> np.ndarray:
-    r = t[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = r.T
-    out[:3, 3] = -r.T @ t[:3, 3]
-    return out
 
 
 def is_rigid_transform(t: np.ndarray, tol: float = 1e-9) -> bool:

@@ -8,7 +8,6 @@ queries, so the grid never reports more clearance than the truth.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,10 +156,6 @@ class OccupancyGrid:
             idx = np.argwhere(self.cells)
             self._occupied_centers = self.origin + (idx + 0.5) * self.resolution
         return self._occupied_centers
-
-    def axis_centers(self, axis: int) -> np.ndarray:
-        n = self.dims[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.resolution
 
 
 def rasterize(bodies, origin, resolution: float, dims,
@@ -354,10 +349,3 @@ def load_grid(path) -> OccupancyGrid:
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
     return OccupancyGrid(origin=origin, resolution=resolution, dims=dims,
                          cells=bits.astype(bool).reshape(dims))
-
-
-def timed_rasterize(*args, **kwargs):
-    """rasterize plus its wall time in ms (recorded per tick by the sim)."""
-    t0 = time.perf_counter()
-    grid = rasterize(*args, **kwargs)
-    return grid, (time.perf_counter() - t0) * 1e3

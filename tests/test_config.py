@@ -1,0 +1,56 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from reachtrack.config import ConfigError, config_from_dict, default_config_dict
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _with_planner(planner: dict) -> dict:
+    data = default_config_dict()
+    data["planner"] = {"profile": "paper-table1", **planner}
+    return data
+
+
+def test_default_config_accepted():
+    cfg = config_from_dict(default_config_dict())
+    assert cfg.planner.w_d.w0 > 0.0
+
+
+def test_short_weight_vector_rejected():
+    with pytest.raises(ConfigError, match="^planner: "):
+        config_from_dict(_with_planner({"w_d": [1, 2]}))
+
+
+@pytest.mark.parametrize("key", ["w_d", "w_theta", "w_occl", "w_col", "w_reach"])
+@pytest.mark.parametrize("value", [[1, 2], [1, 2, 3, 4], "abc", 3, [1, "x", 2]])
+def test_bad_weight_vectors_rejected(key, value):
+    with pytest.raises(ConfigError):
+        config_from_dict(_with_planner({key: value}))
+
+
+@pytest.mark.parametrize("key", ["delta_lower", "delta_upper"])
+@pytest.mark.parametrize("value", [[0.1, 0.2], [[0.1], [0.2, 0.3]], "abc", [0.1] * 7])
+def test_bad_delta_vectors_rejected(key, value):
+    with pytest.raises(ConfigError):
+        config_from_dict(_with_planner({key: value}))
+
+
+def test_cli_reports_config_error_in_one_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with_planner({"w_d": [1, 2]})))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run(
+        [sys.executable, "-m", "reachtrack", "export-slice", "--config", str(path), "--z", "1.0",
+         "--map", str(tmp_path / "none.bin")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config-error: planner: ")

@@ -8,6 +8,7 @@ from reachtrack.geometry import (
     point_segment_distance,
     segment_aabb_distance,
     segment_aabb_intersects,
+    segment_distances,
     segment_segment_distance,
     signed_point_cone_distance,
 )
@@ -45,6 +46,26 @@ def test_segment_segment_distance_cases():
     # Sharing an endpoint.
     assert segment_segment_distance([0, 0, 0], [1, 0, 0],
                                     [1, 0, 0], [2, 5, 0]) == pytest.approx(0.0)
+    # Short perpendicular segments meeting at the origin are not parallel.
+    assert segment_segment_distance([0, 4.3e-5, 0], [0, 0, 0],
+                                    [0, 0, 0], [0, 0, 0.002]) == 0.0
+    # A very short segment is not a point: it ends on the other one.
+    assert segment_segment_distance([0, 0, 1.4e-8], [0, 0, 0],
+                                    [0, 0, 0], [0, 0, 0]) == 0.0
+    assert segment_segment_distance([0, 0, 0], [0, 0, 0],
+                                    [0, 0, 1.4e-8], [0, 0, 0]) == 0.0
+
+
+def test_segment_distances_rows_match_pairs(rng):
+    """The row form equals the pairwise form, degenerate rows included."""
+    ends = rng.uniform(-1, 1, (200, 4, 3))
+    ends[:20, 1] = ends[:20, 0]                  # segment 1 a point
+    ends[20:40, 3] = ends[20:40, 2]              # segment 2 a point
+    ends[40:50, 1], ends[40:50, 3] = ends[40:50, 0], ends[40:50, 2]
+    ends[50:70, 3] = ends[50:70, 2] + (ends[50:70, 1] - ends[50:70, 0])   # parallel
+    rows = segment_distances(ends[:, 0], ends[:, 1], ends[:, 2], ends[:, 3])
+    for row, (p1, q1, p2, q2) in zip(rows, ends):
+        assert row == segment_segment_distance(p1, q1, p2, q2)
 
 
 @given(p1=vec3, q1=vec3, p2=vec3, q2=vec3)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from reachtrack import ik
+from reachtrack._fastkin import dls_burst, dls_rows
 from reachtrack.ik import IkParams, ik_reachable, ik_solve, position_reachable
 from reachtrack.kinematics import forward_kinematics, self_collision, world_capsules
 from reachtrack.transforms import Pose6, rotation_log
 from reachtrack.world import OccupancyGrid
 from reachtrack.geometry import point_segment_distance
+from reference import sequential_ik_reachable, sequential_ik_solve
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +148,127 @@ class TestIkReachable:
 def test_position_reachable(chain):
     assert position_reachable(chain, [0.5, 0.2, 0.6], seed=0)
     assert not position_reachable(chain, [2.0, 0.0, 0.0], seed=0)
+
+
+# -- the batched DLS core and the speculative restarts -------------------------
+
+def test_dls_row_same_alone_or_in_batch(chain, params, rng):
+    """A row's result does not depend on the rows beside it, bit for bit.
+    160 mixed rows (near, far and unreachable targets; budgets 1-60) run as
+    one batch, so rows leave the active set at many different iterations."""
+    n = 160
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    q0 = rng.uniform(lo, hi, (n, 7))
+    goals = [forward_kinematics(chain, rng.uniform(lo, hi)).camera_pose for _ in range(n)]
+    rot = np.array([g.rotation() for g in goals])
+    p = np.array([g.p for g in goals]) + rng.choice([0.0, 0.05, 2.0], (n, 1))
+    budgets = rng.integers(1, 61, n)
+    settings = ik._settings(params)
+    q, converged, used = dls_rows(chain, q0, rot, p, budgets, lo, hi, **settings)
+    assert 0 < converged.sum() < n
+    for i in range(n):
+        qi, ci, ui = dls_burst(chain, q0[i], rot[i], p[i], budgets[i], lo, hi, **settings)
+        assert np.array_equal(qi, q[i]) and ci == converged[i] and ui == used[i]
+
+
+def _count_bursts(monkeypatch):
+    """Count the sequential (batch-of-one) bursts ik_solve runs: its repairs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dls_burst(*args, **kwargs)
+
+    monkeypatch.setattr(ik, "dls_burst", counted)
+    return calls
+
+
+def test_speculative_solve_matches_sequential_free_space(chain, params, rng):
+    solved = 0
+    for _ in range(25):
+        q = chain.random_config(rng) * 0.5
+        fk = forward_kinematics(chain, q)
+        target = Pose6(p=fk.camera_pose.p + rng.uniform(-0.02, 0.02, 3), r=fk.camera_pose.r)
+        out = ik_solve(chain, target, q, None, params)
+        ref = sequential_ik_solve(chain, target, q, None, params)
+        assert (out is None) == (ref is None)
+        if out is not None:
+            assert np.array_equal(out, ref)
+            solved += 1
+    assert solved > 15
+
+
+def test_speculative_solve_matches_sequential_later_starts(chain, params, monkeypatch):
+    """Far targets without a speed cap: the first start often fails, so a
+    later start of the batch converges first, or rounds of restarts follow."""
+    params = replace(params, speed_cap=float("inf"))
+    rng = np.random.default_rng(7)
+    skipped = []
+    first_converged = ik._first_converged
+
+    def spy(*args):
+        found = first_converged(*args)
+        skipped.append(found is not None and found[2] - args[-1] > 1)
+        return found
+
+    monkeypatch.setattr(ik, "_first_converged", spy)
+    for _ in range(8):
+        q = chain.random_config(rng) * 0.5
+        target = forward_kinematics(chain, chain.random_config(rng)).camera_pose
+        out = ik_solve(chain, target, q, None, params)
+        ref = sequential_ik_solve(chain, target, q, None, params)
+        assert (out is None) == (ref is None)
+        assert out is None or np.array_equal(out, ref)
+    assert any(skipped)
+
+
+def test_speculative_solve_matches_sequential_clearance_repair(chain, params, rng, monkeypatch):
+    """With voxels beside the arm, converged poses fail the clearance margin
+    and go through nullspace repair and restarts."""
+    grid = OccupancyGrid.empty((-1.0, -1.0, -1.0), 0.1, (20, 20, 20))
+    grid.cells[14:16, 5:15, 5:15] = True          # a plate at x = 0.4-0.6 m
+    calls = _count_bursts(monkeypatch)
+    solved = 0
+    for _ in range(12):
+        q = chain.random_config(rng) * 0.3
+        fk = forward_kinematics(chain, q)
+        target = Pose6(p=fk.camera_pose.p + rng.uniform(-0.01, 0.01, 3), r=fk.camera_pose.r)
+        out = ik_solve(chain, target, q, grid, params)
+        ref = sequential_ik_solve(chain, target, q, grid, params)
+        assert (out is None) == (ref is None)
+        if out is not None:
+            assert np.array_equal(out, ref)
+            _verify_solution(chain, out, target, q, params, grid=grid)
+            solved += 1
+    assert calls and solved > 0
+
+
+def test_speculative_solve_speed_capped_target_fails_every_start(chain, params):
+    q = chain.home.copy()
+    target = forward_kinematics(chain, q + 0.4).camera_pose   # 0.4 rad away per joint
+    assert ik_solve(chain, target, q, None, replace(params, speed_cap=float("inf"))) is not None
+    assert ik_solve(chain, target, q, None, params) is None
+    assert sequential_ik_solve(chain, target, q, None, params) is None
+
+
+def test_ik_reachable_matches_sequential(chain, rng):
+    """Budgets above one burst: rows whose burst fails restart with the rest."""
+    params = IkParams(max_iterations=80)
+    outcomes = set()
+    for seed in range(12):
+        target = Pose6(p=rng.uniform([-0.6, -0.6, 0.1], [0.6, 0.6, 1.1]),
+                       r=rng.uniform(-np.pi, np.pi, 3))
+        got = ik_reachable(chain, target, seed=seed, restarts=3, params=params)
+        assert got == sequential_ik_reachable(chain, target, seed, 3, params)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_position_reachable_matches_sequential(chain, params):
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    for p in ([0.5, 0.2, 0.6], [1.2, 0.0, 0.4], [0.05, 0.05, 0.05], [1.35, 0.0, 0.0]):
+        rng = np.random.default_rng(3)
+        ref = any(dls_burst(chain, chain.random_config(rng), np.eye(3), np.asarray(p, float), 30,
+                            lo, hi, pos_tol=2e-3, rot_tol=1e9, damping=1e-3, clamp_pos=0.3,
+                            clamp_rot=0.5, use_rot=False)[1] for _ in range(6))
+        assert position_reachable(chain, p, seed=3, restarts=6) == ref

@@ -15,6 +15,7 @@ from reachtrack.kinematics import (
     load_chain,
     save_chain,
     self_collision,
+    self_collision_rows,
     world_capsules,
 )
 from reachtrack.transforms import axis_angle_to_matrix, make_transform
@@ -149,6 +150,19 @@ class TestSelfCollision:
         touching = segment_segment_distance(*caps[0][:2], *caps[1][:2])
         assert touching < caps[0][2] + caps[1][2]  # they do overlap
         assert not self_collision(chain, q)
+
+    def test_rows_match_capsule_pairs(self, chain, rng):
+        """The batched check equals a pair-by-pair scan of the scalar FK's
+        capsules, on 300 rows in one batch."""
+        q = rng.uniform(chain.joint_limits[:, 0], chain.joint_limits[:, 1], (300, 7))
+        rows = self_collision_rows(chain, q)
+        for qi, got in zip(q, rows):
+            caps = world_capsules(chain, qi)
+            expected = any(
+                segment_segment_distance(*caps[i][:2], *caps[j][:2]) < caps[i][2] + caps[j][2]
+                for i in range(len(caps)) for j in range(i + 2, len(caps)))
+            assert got == expected == self_collision(chain, qi)
+        assert 0 < rows.sum() < len(q)
 
 
 class TestChainSchema:

@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachtrack.ik import IkParams, ik_reachable
-from reachtrack.kinematics import self_collision
+from reachtrack.geometry import segment_segment_distance
+from reachtrack.ik import IkParams, ik_reachable, reach_rows
+from reachtrack.kinematics import forward_kinematics, self_collision, world_capsules
 from reachtrack.reachability import (
     MapChainMismatchError,
     ReachabilityMap,
+    _score_cells,
     build_map,
     load_map,
     sample_orientations,
     save_map,
     slice_rows,
 )
-from reachtrack.transforms import Pose6, matrix_to_euler_xyz
+from reachtrack.transforms import Pose6, matrix_to_euler_xyz, rotation_log
+from reference import sequential_score_cells
 
 BUILD_IK = IkParams(max_iterations=80)
 
@@ -143,6 +146,48 @@ class TestBuild:
             build_map(chain, (0, 0, 0), (1, 1, 1), n_orientations=0)
         with pytest.raises(ValueError):
             build_map(chain, (1, 1, 1), (0, 0, 0))
+
+
+class TestBatchedCells:
+    """Cells score all orientation x restart rows as one batch."""
+
+    CENTERS = np.array([[0.45, 0.15, 0.55], [0.15, 0.55, 0.85], [0.65, -0.25, 0.35]])
+    IK = IkParams(max_iterations=40)
+
+    def _eulers(self, n, seed):
+        return np.array([matrix_to_euler_xyz(m) for m in sample_orientations(n, seed)])
+
+    def test_score_cells_matches_sequential_reference(self, chain):
+        eulers = self._eulers(10, 4)
+        flat = np.array([3, 17, 40])
+        got = _score_cells(chain, self.CENTERS, flat, eulers, 4, 4, self.IK)
+        assert np.all(got > 0.0)                      # in reach
+        ref = sequential_score_cells(chain, self.CENTERS, flat, eulers, 4, 4, self.IK)
+        assert np.array_equal(got, ref)
+
+    def test_every_hit_row_fk_verified(self, chain):
+        """Pose tolerance, joint limits and self-collision of every hit row,
+        re-checked from the capsules of the scalar FK."""
+        eulers = self._eulers(20, 8)
+        rots = np.repeat([Pose6(r=r).rotation() for r in eulers], 4, axis=0)
+        lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+        hits = 0
+        for center in self.CENTERS:
+            q0 = np.random.default_rng(int(center.sum() * 100)).uniform(lo, hi, (len(rots), 7))
+            hit, q = reach_rows(chain, q0, rots, np.broadcast_to(center, (len(rots), 3)), self.IK)
+            for k in np.flatnonzero(hit):
+                frame = forward_kinematics(chain, q[k]).camera_frame
+                assert np.linalg.norm(frame[:3, 3] - center) <= self.IK.pos_tolerance
+                angle = np.linalg.norm(rotation_log(rots[k] @ frame[:3, :3].T))
+                assert angle <= self.IK.rot_tolerance
+                assert chain.within_limits(q[k])
+                caps = world_capsules(chain, q[k])
+                for i in range(len(caps)):
+                    for j in range(i + 2, len(caps)):
+                        assert segment_segment_distance(*caps[i][:2], *caps[j][:2]) >= \
+                            caps[i][2] + caps[j][2]
+            hits += hit.sum()
+        assert 0 < hits < 3 * len(rots)
 
 
 class TestPersistence:
