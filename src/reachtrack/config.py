@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -42,6 +43,14 @@ class ReachBuildConfig:
     restarts: int = 8
     seed: int = 0
     ik_max_iterations: int = 40
+
+    def __post_init__(self):
+        if not self.resolution > 0.0:
+            raise ValueError("resolution must be positive")
+        for name in ("orientations", "restarts", "ik_max_iterations"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass

@@ -133,7 +133,7 @@ def segment_aabb_distance(a, b, lo, hi, tol: float = 1e-10) -> float:
     return float(min(f1, f2))
 
 
-def signed_point_cone_distance(points, apex, axis, length: float,
+def signed_point_cone_distance(points, apex, axis, length,
                                base_radius: float) -> np.ndarray:
     """Signed distance from points to a finite solid cone.
 
@@ -141,18 +141,21 @@ def signed_point_cone_distance(points, apex, axis, length: float,
     meters and is capped by a flat base disk of radius `base_radius`.
     Negative values are penetration depths (distance to the nearest boundary
     surface, i.e. the lateral surface or the base disk).
+
+    Points (..., 3) broadcast against apex (..., 3), axis (..., 3) and
+    length (...), so one call can measure many points against many cones;
+    one (3,) point against one cone gives a float.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    apex = np.asarray(apex, dtype=float)
+    rel = np.asarray(points, dtype=float) - np.asarray(apex, dtype=float)
     axis = np.asarray(axis, dtype=float)
-    rel = pts - apex
+    length = np.asarray(length, dtype=float)
     # Fixed-order elementwise arithmetic: batch and per-point calls must
     # produce bit-identical values (the grid queries are oracle-checked
     # against per-voxel scans for exact equality).
-    x = rel[:, 0] * axis[0] + rel[:, 1] * axis[1] + rel[:, 2] * axis[2]
-    rx = rel[:, 0] - x * axis[0]
-    ry = rel[:, 1] - x * axis[1]
-    rz = rel[:, 2] - x * axis[2]
+    x = rel[..., 0] * axis[..., 0] + rel[..., 1] * axis[..., 1] + rel[..., 2] * axis[..., 2]
+    rx = rel[..., 0] - x * axis[..., 0]
+    ry = rel[..., 1] - x * axis[..., 1]
+    rz = rel[..., 2] - x * axis[..., 2]
     rho = np.sqrt(rx * rx + ry * ry + rz * rz)
 
     # 2D formulation in (x, rho): the solid is the triangle 0<=x<=length,
@@ -163,16 +166,15 @@ def signed_point_cone_distance(points, apex, axis, length: float,
     d_boundary = np.minimum(d_lat, d_base)
     inside = (x >= 0.0) & (x <= length) & (rho * length <= base_radius * x)
     signed = np.where(inside, -d_boundary, d_boundary)
-    return signed if np.ndim(points) == 2 else float(signed[0])
+    return signed if signed.ndim else float(signed)
 
 
 def _dist2d_to_segment(px, py, ax, ay, bx, by):
     dx, dy = bx - ax, by - ay
     dd = dx * dx + dy * dy
-    if dd < 1e-18:
-        ex, ey = px - ax, py - ay
-        return np.sqrt(ex * ex + ey * ey)
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / dd, 0.0, 1.0)
+    point = dd < 1e-18
+    t = np.where(point, 0.0, np.clip(((px - ax) * dx + (py - ay) * dy)
+                                     / np.where(point, 1.0, dd), 0.0, 1.0))
     ex = px - (ax + t * dx)
     ey = py - (ay + t * dy)
     return np.sqrt(ex * ex + ey * ey)

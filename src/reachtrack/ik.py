@@ -15,6 +15,7 @@ reach. The map builder solves whole cells of rows at once (`reach_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,6 +48,14 @@ class IkParams:
             raise ValueError("tolerances must be positive")
         if self.continuity_weight < 0.0 or self.collision_weight < 0.0:
             raise ValueError("weights must be >= 0")
+        for name in ("damping", "speed_cap", "error_clamp_pos", "error_clamp_rot"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value > 0.0):
+                raise ValueError(f"{name} must be a positive number")
+        for name, least in (("max_iterations", 1), ("burst_iterations", 1), ("repair_steps", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def _clearance(chain, q, centers, inflation, link_frames=None):

@@ -207,9 +207,6 @@ class KinematicChain:
         q = np.asarray(q, dtype=float)
         return bool(np.all(q >= self.joint_limits[:, 0]) and np.all(q <= self.joint_limits[:, 1]))
 
-    def clip_to_limits(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(q, dtype=float), self.joint_limits[:, 0], self.joint_limits[:, 1])
-
     def random_config(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.joint_limits[:, 0], self.joint_limits[:, 1])
 

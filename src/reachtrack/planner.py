@@ -5,18 +5,24 @@ an occlusion term (signed sight-cone clearance), a collision term (signed
 end-effector clearance) and a reachability term, each shaped by the cubic
 rescale function and the latter three clamped to zero past a deactivation
 threshold. The decision variable is the bounded per-tick pose change.
+
+`objective_batch` is the one evaluator: it scores (n, 6) candidate deltas
+at once through the batched grid queries of `world`. A single `objective`
+call is a batch of one, and each central-difference gradient of the SLSQP
+descent is one 12-row batch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .reachability import ReachabilityMap
-from .transforms import Pose6, compose_pose_delta
+from .transforms import Pose6
 from .world import (
     NO_OCCUPANCY_DISTANCE,
     OccupancyGrid,
@@ -40,13 +46,8 @@ class RescaleWeights:
         return cls(w0, w1, w2)
 
 
-def rescale(w: RescaleWeights, x: float) -> float:
-    """Cubic shaping: w0 * (w1*x + w2)**3, sign-preserving."""
-    y = w.w1 * x + w.w2
-    return w.w0 * y * y * y
-
-
-def _rescale_arr(w: RescaleWeights, x: np.ndarray) -> np.ndarray:
+def rescale(w: RescaleWeights, x):
+    """Cubic shaping: w0 * (w1*x + w2)**3, sign-preserving, elementwise on arrays."""
     y = w.w1 * x + w.w2
     return w.w0 * y * y * y
 
@@ -83,6 +84,12 @@ class PlannerParams:
             raise ValueError("d_des must be positive")
         if not (self.u_occl > 0.0 and self.u_col > 0.0 and self.u_reach > 0.0):
             raise ValueError("deactivation thresholds must be positive")
+        for name in ("cone_base_radius", "step_tolerance", "fd_step"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value > 0.0):
+                raise ValueError(f"{name} must be a positive number")
+        if not (isinstance(self.max_evaluations, Integral) and self.max_evaluations >= 1):
+            raise ValueError("max_evaluations must be a positive integer")
 
     @classmethod
     def paper_table1(cls, **overrides) -> "PlannerParams":
@@ -117,57 +124,7 @@ class PlannerInput:
     reach_map: ReachabilityMap | None = None
 
 
-# -- objective terms ---------------------------------------------------------
-
-def term_track(params: PlannerParams, inp: PlannerInput, pose: Pose6) -> float:
-    to_target = inp.x_target.p - pose.p
-    d = float(np.linalg.norm(to_target))
-    if d < _DEGENERATE_CONE:
-        theta = 0.0  # target at the camera origin: centering error defined as 0
-    else:
-        view = pose.view_axis()
-        u = to_target / d
-        theta = float(np.arctan2(np.linalg.norm(np.cross(view, u)), np.dot(view, u)))
-    return rescale(params.w_d, abs(params.d_des - d)) + rescale(params.w_theta, theta)
-
-
-def term_occl(params: PlannerParams, inp: PlannerInput, pose: Pose6) -> float:
-    length = float(np.linalg.norm(inp.x_target.p - pose.p))
-    if length < _DEGENERATE_CONE:
-        return 0.0
-    cone = SightCone(apex=pose.p, axis=(inp.x_target.p - pose.p) / length,
-                     length=length, base_radius=params.cone_base_radius)
-    d = cone_grid_distance(inp.grid, cone)
-    return rescale(params.w_occl, d) if d < params.u_occl else 0.0
-
-
-def term_col(params: PlannerParams, inp: PlannerInput, pose: Pose6) -> float:
-    d = point_grid_distance(inp.grid, pose.p)
-    return rescale(params.w_col, d) if d < params.u_col else 0.0
-
-
-def term_reach(params: PlannerParams, inp: PlannerInput, pose: Pose6) -> float:
-    v = inp.reach_map.query(pose.p) if inp.reach_map is not None else 0.0
-    return rescale(params.w_reach, v) if v < params.u_reach else 0.0
-
-
-def objective_at_pose(params: PlannerParams, inp: PlannerInput, pose: Pose6) -> float:
-    total = term_track(params, inp, pose)
-    if params.enable_occl:
-        total += term_occl(params, inp, pose)
-    if params.enable_col:
-        total += term_col(params, inp, pose)
-    if params.enable_reach:
-        total += term_reach(params, inp, pose)
-    return total
-
-
-def objective(inp: PlannerInput, params: PlannerParams, delta) -> float:
-    """Objective value at the candidate pose x_ee (+) delta."""
-    return objective_at_pose(params, inp, compose_pose_delta(inp.x_ee, delta))
-
-
-# -- batch evaluation (exhaustive-search oracle and probe sets) --------------
+# -- objective ---------------------------------------------------------------
 
 def _batch_euler_to_matrix(r: np.ndarray) -> np.ndarray:
     rx, ry, rz = r[:, 0], r[:, 1], r[:, 2]
@@ -188,74 +145,46 @@ def _batch_euler_to_matrix(r: np.ndarray) -> np.ndarray:
 
 
 def objective_batch(inp: PlannerInput, params: PlannerParams,
-                    deltas: np.ndarray, chunk: int = 200_000) -> np.ndarray:
-    """Vectorized objective over candidate deltas (n, 6)."""
+                    deltas: np.ndarray) -> np.ndarray:
+    """Objective values at the candidate poses x_ee (+) delta, deltas (n, 6).
+
+    Every row is computed on its own, so a row's value does not depend on
+    the other rows of the batch.
+    """
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 6)
-    out = np.empty(len(deltas))
-    for s in range(0, len(deltas), chunk):
-        out[s:s + chunk] = _objective_chunk(inp, params, deltas[s:s + chunk])
-    return out
-
-
-def _objective_chunk(inp: PlannerInput, params: PlannerParams,
-                     deltas: np.ndarray) -> np.ndarray:
     pos = inp.x_ee.p + deltas[:, :3]
     rot = _batch_euler_to_matrix(deltas[:, 3:]) @ inp.x_ee.rotation()
     view = rot[:, :, 2]
-    t = inp.x_target.p
-    to_target = t - pos
+    to_target = inp.x_target.p - pos
     d = np.sqrt((to_target ** 2).sum(axis=1))
+    # A target at the camera origin has no sight line: its centering error
+    # counts as 0 and its occlusion term is off.
     safe = d > _DEGENERATE_CONE
     u = np.where(safe[:, None], to_target / np.where(safe, d, 1.0)[:, None], 0.0)
     cross = np.cross(view, u)
     dot = (view * u).sum(axis=1)
     theta = np.where(safe, np.arctan2(np.sqrt((cross ** 2).sum(axis=1)), dot), 0.0)
-    total = _rescale_arr(params.w_d, np.abs(params.d_des - d))
-    total += _rescale_arr(params.w_theta, theta)
+    total = rescale(params.w_d, np.abs(params.d_des - d))
+    total += rescale(params.w_theta, theta)
 
-    centers = inp.grid.occupied_centers()
-    have_occ = len(centers) > 0
-    if params.enable_occl and have_occ:
-        occl_d = _batch_cone_distance(pos, u, d, centers, params.cone_base_radius,
-                                      inp.grid.half_diagonal)
-        occl_d = np.where(safe, occl_d, NO_OCCUPANCY_DISTANCE)
-        total += np.where(occl_d < params.u_occl,
-                          _rescale_arr(params.w_occl, occl_d), 0.0)
-    if params.enable_col and have_occ:
-        diff = pos[:, None, :] - centers[None, :, :]
-        col_d = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1) - inp.grid.half_diagonal
-        total += np.where(col_d < params.u_col,
-                          _rescale_arr(params.w_col, col_d), 0.0)
+    if params.enable_occl:
+        occl_d = np.full(len(d), NO_OCCUPANCY_DISTANCE)
+        occl_d[safe] = cone_grid_distance(inp.grid, SightCone(
+            apex=pos[safe], axis=u[safe], length=d[safe], base_radius=params.cone_base_radius))
+        total += np.where(occl_d < params.u_occl, rescale(params.w_occl, occl_d), 0.0)
+    if params.enable_col:
+        col_d = point_grid_distance(inp.grid, pos)
+        total += np.where(col_d < params.u_col, rescale(params.w_col, col_d), 0.0)
     if params.enable_reach:
         v = (inp.reach_map.query_batch(pos) if inp.reach_map is not None
              else np.zeros(len(pos)))
-        total += np.where(v < params.u_reach, _rescale_arr(params.w_reach, v), 0.0)
+        total += np.where(v < params.u_reach, rescale(params.w_reach, v), 0.0)
     return total
 
 
-def _batch_cone_distance(apexes, axes, lengths, centers, base_radius, half_diag):
-    """Signed cone-solid distances, (n,) candidates vs (k,) voxel centers."""
-    rel = centers[None, :, :] - apexes[:, None, :]          # (n, k, 3)
-    x = (rel * axes[:, None, :]).sum(axis=2)                # (n, k)
-    radial = rel - x[:, :, None] * axes[:, None, :]
-    rho = np.sqrt((radial ** 2).sum(axis=2))
-    length = lengths[:, None]
-    d_lat = _dist2d(x, rho, 0.0, 0.0, length, base_radius)
-    d_base = _dist2d(x, rho, length, 0.0, length, base_radius)
-    d_boundary = np.minimum(d_lat, d_base)
-    inside = (x >= 0.0) & (x <= length) & (rho * length <= base_radius * x)
-    signed = np.where(inside, -d_boundary, d_boundary)
-    return signed.min(axis=1) - half_diag
-
-
-def _dist2d(px, py, ax, ay, bx, by):
-    dx = bx - ax
-    dy = by - ay
-    dd = dx * dx + dy * dy
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / np.maximum(dd, 1e-18), 0.0, 1.0)
-    ex = px - (ax + t * dx)
-    ey = py - (ay + t * dy)
-    return np.sqrt(ex * ex + ey * ey)
+def objective(inp: PlannerInput, params: PlannerParams, delta) -> float:
+    """Objective value at the candidate pose x_ee (+) delta: a batch of one."""
+    return float(objective_batch(inp, params, np.asarray(delta, dtype=float)[None])[0])
 
 
 # -- optimization ------------------------------------------------------------
@@ -304,16 +233,11 @@ def plan_step(inp: PlannerInput, params: PlannerParams,
 
     def grad(x):
         nonlocal evals
-        g = np.zeros(6)
         h = params.fd_step
-        for i in range(6):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            g[i] = (objective(inp, params, xp) - objective(inp, params, xm)) / (2.0 * h)
+        steps = h * np.eye(6)
+        v = objective_batch(inp, params, np.concatenate([x + steps, x - steps]))
         evals += 12
-        return g
+        return (v[:6] - v[6:]) / (2.0 * h)
 
     zero = np.zeros(6)
     f0 = f(zero)

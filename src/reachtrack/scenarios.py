@@ -102,6 +102,8 @@ class ScenarioSpec:
             raise ValueError("dt must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not self.grid_resolution > 0.0:
+            raise ValueError("grid_resolution must be positive")
 
     def with_ablation(self, mask: AblationMask) -> "ScenarioSpec":
         return replace(self, ablation=mask)

@@ -227,56 +227,69 @@ def _index_window(grid: OccupancyGrid, lo, hi):
     return tuple(i0), tuple(i1)
 
 
-def point_grid_distance(grid: OccupancyGrid, p) -> float:
+def point_grid_distance(grid: OccupancyGrid, p):
     """Conservative signed distance from a point to the occupied cells.
 
     Distance to the nearest occupied voxel center minus half the voxel
     diagonal; negative inside the inflated occupancy. Returns the
-    NO_OCCUPANCY_DISTANCE sentinel for an empty grid.
+    NO_OCCUPANCY_DISTANCE sentinel for an empty grid. A (3,) point gives a
+    float, (n, 3) points give (n,) distances.
     """
-    centers = grid.occupied_centers()
-    if len(centers) == 0:
-        return NO_OCCUPANCY_DISTANCE
     p = np.asarray(p, dtype=float)
-    dx = centers[:, 0] - p[0]
-    dy = centers[:, 1] - p[1]
-    dz = centers[:, 2] - p[2]
-    d = np.sqrt(dx * dx + dy * dy + dz * dz) - grid.half_diagonal
-    return float(d.min())
+    centers = grid.occupied_centers()
+    d = np.full(p.shape[:-1], NO_OCCUPANCY_DISTANCE)
+    if len(centers):
+        q = p[..., None, :]
+        dx = centers[:, 0] - q[..., 0]
+        dy = centers[:, 1] - q[..., 1]
+        dz = centers[:, 2] - q[..., 2]
+        d = (np.sqrt(dx * dx + dy * dy + dz * dz) - grid.half_diagonal).min(axis=-1)
+    return d if d.ndim else float(d)
 
 
 @dataclass(frozen=True)
 class SightCone:
-    """Finite viewing cone from the camera to the target."""
+    """Finite viewing cone from the camera to the target.
+
+    One cone has a (3,) apex and axis and a scalar length; n cones of one
+    base radius have (n, 3) apexes and axes and (n,) lengths.
+    """
 
     apex: np.ndarray
     axis: np.ndarray
-    length: float
+    length: float | np.ndarray
     base_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "apex", np.asarray(self.apex, dtype=float).reshape(3))
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float).reshape(3))
-        if not self.length > 0.0:
+        apex = np.asarray(self.apex, dtype=float)
+        axis = np.asarray(self.axis, dtype=float)
+        if apex.shape[-1:] != (3,) or axis.shape != apex.shape \
+                or np.shape(self.length) != apex.shape[:-1]:
+            raise ValueError("cone apex and axis must be (3,) or (n, 3), one length per cone")
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "axis", axis)
+        if not np.all(np.asarray(self.length) > 0.0):
             raise ValueError("cone length must be positive")
         if not self.base_radius > 0.0:
             raise ValueError("cone base_radius must be positive")
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
+        if np.any(np.abs(np.linalg.norm(axis, axis=-1) - 1.0) > 1e-12):
             raise ValueError("cone axis must be a unit vector")
 
 
-def cone_grid_distance(grid: OccupancyGrid, cone: SightCone) -> float:
+def cone_grid_distance(grid: OccupancyGrid, cone: SightCone):
     """Signed distance from the occupied cells to the sight cone.
 
     Positive when the nearest (inflated) occupied voxel is outside the cone
     solid, negative penetration depth when inside; sentinel on an empty grid.
+    One cone gives a float, a batch of n cones gives (n,) distances.
     """
     centers = grid.occupied_centers()
-    if len(centers) == 0:
-        return NO_OCCUPANCY_DISTANCE
-    d = signed_point_cone_distance(centers, cone.apex, cone.axis,
-                                   cone.length, cone.base_radius)
-    return float((d - grid.half_diagonal).min())
+    d = np.full(cone.apex.shape[:-1], NO_OCCUPANCY_DISTANCE)
+    if len(centers):
+        d = signed_point_cone_distance(centers, cone.apex[..., None, :], cone.axis[..., None, :],
+                                       np.asarray(cone.length)[..., None], cone.base_radius)
+        d = (d - grid.half_diagonal).min(axis=-1)
+    return d if d.ndim else float(d)
 
 
 def segment_visibility(bodies, a, b) -> bool:
@@ -311,10 +324,6 @@ def min_body_distance(capsules, bodies) -> float:
             if d < worst:
                 worst = d
     return worst
-
-
-def arm_collides(capsules, bodies) -> bool:
-    return min_body_distance(capsules, bodies) <= 0.0
 
 
 # -- debug dump --------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Sequential reference solvers for the oracle tests: the IK loop one burst
 at a time, every burst a batch of one (`dls_burst`), every collision test
-scalar. The batched solvers in `reachtrack.ik` must agree with them."""
+scalar. The batched solvers in `reachtrack.ik` must agree with them.
+
+The planner objective one pose at a time: each term from `compose_pose_delta`,
+a single `SightCone`, single-point grid and map queries and `rescale`. The
+batched evaluator in `reachtrack.planner` must agree with it."""
 
 from dataclasses import replace
 
@@ -9,7 +13,9 @@ import numpy as np
 from reachtrack import kinematics as kin
 from reachtrack.ik import _PERTURB_SEED, _constraints_ok, _repulsion, _settings
 from reachtrack._fastkin import dls_burst
-from reachtrack.transforms import Pose6
+from reachtrack.planner import rescale
+from reachtrack.transforms import Pose6, compose_pose_delta
+from reachtrack.world import SightCone, cone_grid_distance, point_grid_distance
 
 
 def sequential_ik_solve(chain, target, q_prev, grid, params):
@@ -110,3 +116,48 @@ def sequential_score_cells(chain, centers, flat_indices, eulers, seed, restarts,
             for k in range(n))
         scores[row] = hits / n
     return scores
+
+
+def term_track(params, inp, pose):
+    to_target = inp.x_target.p - pose.p
+    d = float(np.linalg.norm(to_target))
+    if d <= 1e-9:
+        theta = 0.0  # target at the camera origin: centering error defined as 0
+    else:
+        view = pose.view_axis()
+        u = to_target / d
+        theta = float(np.arctan2(np.linalg.norm(np.cross(view, u)), np.dot(view, u)))
+    return rescale(params.w_d, abs(params.d_des - d)) + rescale(params.w_theta, theta)
+
+
+def term_occl(params, inp, pose):
+    length = float(np.linalg.norm(inp.x_target.p - pose.p))
+    if length <= 1e-9:
+        return 0.0
+    cone = SightCone(apex=pose.p, axis=(inp.x_target.p - pose.p) / length,
+                     length=length, base_radius=params.cone_base_radius)
+    d = cone_grid_distance(inp.grid, cone)
+    return rescale(params.w_occl, d) if d < params.u_occl else 0.0
+
+
+def term_col(params, inp, pose):
+    d = point_grid_distance(inp.grid, pose.p)
+    return rescale(params.w_col, d) if d < params.u_col else 0.0
+
+
+def term_reach(params, inp, pose):
+    v = inp.reach_map.query(pose.p) if inp.reach_map is not None else 0.0
+    return rescale(params.w_reach, v) if v < params.u_reach else 0.0
+
+
+def reference_objective(params, inp, delta):
+    """The objective at x_ee (+) delta as a sum of the enabled scalar terms."""
+    pose = compose_pose_delta(inp.x_ee, delta)
+    total = term_track(params, inp, pose)
+    if params.enable_occl:
+        total += term_occl(params, inp, pose)
+    if params.enable_col:
+        total += term_col(params, inp, pose)
+    if params.enable_reach:
+        total += term_reach(params, inp, pose)
+    return total

@@ -41,16 +41,53 @@ def test_bad_delta_vectors_rejected(key, value):
         config_from_dict(_with_planner({key: value}))
 
 
-def test_cli_reports_config_error_in_one_line(tmp_path):
+@pytest.mark.parametrize("key, value", [("cone_base_radius", 0), ("fd_step", 0),
+                                        ("max_evaluations", "x"), ("step_tolerance", 0)])
+def test_bad_planner_scalars_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"^planner: {key} "):
+        config_from_dict(_with_planner({key: value}))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("ik", "damping", "x"),
+    ("ik", "max_iterations", 2.5),
+    ("scenario", "grid_resolution", 0),
+    ("reachability", "resolution", 0),
+    ("reachability", "orientations", 0),
+])
+def test_bad_section_values_rejected(section, key, value):
+    data = default_config_dict()
+    data[section] = {key: value}
+    with pytest.raises(ConfigError, match=f"^{section}: {key} "):
+        config_from_dict(data)
+
+
+def _cli(tmp_path, config: dict, *args):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_with_planner({"w_d": [1, 2]})))
+    path.write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    done = subprocess.run(
-        [sys.executable, "-m", "reachtrack", "export-slice", "--config", str(path), "--z", "1.0",
-         "--map", str(tmp_path / "none.bin")],
+    return subprocess.run(
+        [sys.executable, "-m", "reachtrack", *args, "--config", str(path)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _assert_config_error(done, prefix):
     assert done.returncode == 2
     assert done.stdout == ""
     lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config-error: planner: ")
+    assert len(lines) == 1 and lines[0].startswith("config-error: " + prefix)
+
+
+def test_cli_reports_config_error_in_one_line(tmp_path):
+    done = _cli(tmp_path, _with_planner({"w_d": [1, 2]}),
+                "export-slice", "--z", "1.0", "--map", str(tmp_path / "none.bin"))
+    _assert_config_error(done, "planner: ")
+
+
+@pytest.mark.parametrize("key, value", [("cone_base_radius", 0), ("fd_step", 0),
+                                        ("max_evaluations", "x")])
+def test_cli_run_rejects_bad_planner_values(tmp_path, key, value):
+    done = _cli(tmp_path, _with_planner({key: value}),
+                "run", "--runs", "1", "--ablation", "track+occl+col", "--out", str(tmp_path))
+    _assert_config_error(done, f"planner: {key} ")

@@ -144,3 +144,21 @@ class TestConeDistance:
                                            self.length, self.base_radius)
         for p, d in zip(pts, batch):
             assert d == pytest.approx(self.signed(p), abs=1e-12)
+
+    def test_cone_batch_matches_single_cones(self, rng):
+        """Apex, axis and length broadcast over a leading cone axis; rows equal
+        single-cone calls exactly, also for a base edge shorter than 1e-9 m."""
+        pts = rng.uniform(-1, 2, (30, 3))
+        apexes = rng.uniform(-0.5, 0.5, (6, 3))
+        axes = rng.normal(size=(6, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        lengths = rng.uniform(0.5, 1.5, 6)
+        for radius in (self.base_radius, 1e-10):
+            rows = signed_point_cone_distance(pts, apexes[:, None], axes[:, None],
+                                              lengths[:, None], radius)
+            assert rows.shape == (6, 30)
+            for row, apex, axis, length in zip(rows, apexes, axes, lengths):
+                single = signed_point_cone_distance(pts, apex, axis, length, radius)
+                assert np.array_equal(row, single)
+                for p, d in zip(pts, single):
+                    assert d == signed_point_cone_distance(p, apex, axis, length, radius)

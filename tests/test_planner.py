@@ -1,9 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachtrack import planner
 from reachtrack.planner import (
     PlannerInput,
     PlannerParams,
@@ -13,14 +16,12 @@ from reachtrack.planner import (
     objective_batch,
     plan_step,
     rescale,
-    term_col,
-    term_occl,
-    term_reach,
-    term_track,
 )
 from reachtrack.reachability import ReachabilityMap
 from reachtrack.transforms import Pose6, compose_pose_delta
-from reachtrack.world import OccupancyGrid, cone_grid_distance, SightCone
+from reachtrack.world import OccupancyGrid, SightCone, cone_grid_distance
+
+from reference import reference_objective, term_col, term_occl, term_reach, term_track
 
 TABLE1 = PlannerParams.paper_table1()
 
@@ -210,6 +211,12 @@ class TestObjective:
         pose = inp.x_ee
         assert objective(inp, track_only, np.zeros(6)) == pytest.approx(
             term_track(TABLE1, inp, pose), abs=1e-12)
+        deltas = rng.uniform(TABLE1.delta_lower, TABLE1.delta_upper, (5, 6))
+        for occl, col, reach in itertools.product((False, True), repeat=3):
+            params = replace(TABLE1, enable_occl=occl, enable_col=col, enable_reach=reach)
+            for delta, value in zip(deltas, objective_batch(inp, params, deltas)):
+                assert value == pytest.approx(reference_objective(params, inp, delta),
+                                              rel=1e-9, abs=1e-9)
 
     def test_batch_matches_scalar(self, rng):
         grid = _grid_with_voxel_at([0.6, 0.3, 0.1])
@@ -222,7 +229,27 @@ class TestObjective:
         deltas = rng.uniform(TABLE1.delta_lower, TABLE1.delta_upper, (200, 6))
         batch = objective_batch(inp, TABLE1, deltas)
         for d, v in zip(deltas, batch):
-            assert v == pytest.approx(objective(inp, TABLE1, d), rel=1e-9, abs=1e-9)
+            assert v == pytest.approx(reference_objective(TABLE1, inp, d), rel=1e-9, abs=1e-9)
+
+    def test_objective_is_its_row_of_the_batch(self, rng):
+        """A single call is a batch of one: on a mixed batch over a grid of many
+        voxels and a map, every row equals its single call bit for bit, also
+        the rows whose camera lands on the target (no sight cone)."""
+        grid = _empty_grid()
+        grid.cells[14:30, 18:24, 19:23] = rng.random((16, 6, 4)) < 0.3
+        rmap = ReachabilityMap(origin=(-3, -3, -3), resolution=0.5, dims=(12, 12, 12),
+                               scores=rng.random((12, 12, 12)))
+        target = np.array([1.0, 0.2, -0.1])
+        inp = PlannerInput(
+            x_ee=Pose6(p=target - [0.03, -0.02, 0.01], r=rng.uniform(-1, 1, 3)),
+            x_target=Pose6(p=target, r=np.zeros(3)), grid=grid, reach_map=rmap)
+        deltas = rng.uniform(TABLE1.delta_lower, TABLE1.delta_upper, (200, 6))
+        deltas[::25, :3] = [0.03, -0.02, 0.01]
+        assert np.all(np.linalg.norm(inp.x_ee.p + deltas[::25, :3] - target, axis=1) <= 1e-9)
+        batch = objective_batch(inp, TABLE1, deltas)
+        for d, v in zip(deltas, batch):
+            assert objective(inp, TABLE1, d) == v
+            assert v == pytest.approx(reference_objective(TABLE1, inp, d), rel=1e-9, abs=1e-9)
 
 
 def grid_search_minimum(inp, params, n_pos=11, n_rot=11):
@@ -232,7 +259,7 @@ def grid_search_minimum(inp, params, n_pos=11, n_rot=11):
     Exactly equivalent to evaluating the full product grid and taking the
     minimum (verified against the naive product in a dedicated test).
     """
-    from reachtrack.planner import _batch_euler_to_matrix, _rescale_arr
+    from reachtrack.planner import _batch_euler_to_matrix
 
     lo, hi = params.delta_lower, params.delta_upper
     pos_axes = [np.linspace(lo[i], hi[i], n_pos) for i in range(3)]
@@ -258,8 +285,8 @@ def grid_search_minimum(inp, params, n_pos=11, n_rot=11):
     cos = np.clip(u @ view.T, -1.0, 1.0)                      # (n_pos^3, n_rot^3)
     theta = np.arctan2(np.sqrt(np.maximum(1.0 - cos ** 2, 0.0)), cos)
     theta[~safe, :] = 0.0
-    track = (_rescale_arr(params.w_d, np.abs(params.d_des - d))[:, None]
-             + _rescale_arr(params.w_theta, theta))
+    track = (rescale(params.w_d, np.abs(params.d_des - d))[:, None]
+             + rescale(params.w_theta, theta))
 
     totals = pos_terms + track.min(axis=1)
     k = int(np.argmin(totals))
@@ -323,6 +350,24 @@ class TestPlanStep:
         assert len(probes) == 20
         assert np.all(probes >= TABLE1.delta_lower - 1e-12)
         assert np.all(probes <= TABLE1.delta_upper + 1e-12)
+
+    def test_evaluations_count_every_row(self, monkeypatch):
+        """`evaluations` counts every objective row: single calls, the probe
+        batch and one 12-row batch per gradient."""
+        rows = []
+        batch = planner.objective_batch
+
+        def counted(inp, params, deltas):
+            values = batch(inp, params, deltas)
+            rows.append(len(values))
+            return values
+
+        monkeypatch.setattr(planner, "objective_batch", counted)
+        inp = _looking_input(d=TABLE1.d_des + 0.05, grid=_grid_with_voxel_at([0.5, 0.1, 0.0]))
+        result = plan_step(inp, TABLE1)
+        assert 12 in rows and len(_probe_deltas(TABLE1)) in rows
+        assert set(rows) <= {1, 12, len(_probe_deltas(TABLE1))}
+        assert result.evaluations == sum(rows)
 
     def test_deterministic(self):
         grid = _grid_with_voxel_at([0.5, 0.1, 0.0])

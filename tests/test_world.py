@@ -14,7 +14,6 @@ from reachtrack.world import (
     PlacedBody,
     SightCone,
     Sphere,
-    arm_collides,
     capsule_body_distance,
     cone_grid_distance,
     load_grid,
@@ -136,6 +135,22 @@ class TestPointGridDistance:
             expected = _brute_point_distance(grid, p)
             assert got == expected  # exact, not approx
 
+    def test_batch_rows_equal_single_calls_and_brute_force(self, rng):
+        for _ in range(10):
+            dims = tuple(rng.integers(2, 12, 3))
+            grid = OccupancyGrid.empty(rng.uniform(-1, 1, 3), 0.07, dims)
+            grid.cells[:] = rng.random(dims) < 0.1
+            pts = rng.uniform(-1.5, 1.5, (25, 3))
+            rows = point_grid_distance(grid, pts)
+            assert rows.shape == (25,)
+            for p, row in zip(pts, rows):
+                assert row == point_grid_distance(grid, p) == _brute_point_distance(grid, p)
+
+    def test_batch_on_empty_grid_is_sentinel(self):
+        grid = OccupancyGrid.empty((0, 0, 0), 0.1, (4, 4, 4))
+        rows = point_grid_distance(grid, np.zeros((3, 3)))
+        assert rows.shape == (3,) and np.all(rows == NO_OCCUPANCY_DISTANCE)
+
     def test_sign_changes_once_along_ray(self):
         grid = _grid_with_cells((0, 0, 0), 0.1, (10, 10, 10), [(5, 5, 5)])
         center = grid.cell_center((5, 5, 5))
@@ -223,6 +238,29 @@ class TestConeGridDistance:
                              base_radius=rng.uniform(0.05, 0.2))
             assert cone_grid_distance(grid, cone) == _brute_cone_distance(grid, cone)
 
+    def test_batch_rows_equal_single_calls_and_brute_force(self, rng):
+        for _ in range(8):
+            dims = tuple(rng.integers(2, 10, 3))
+            grid = OccupancyGrid.empty(rng.uniform(-1, 0, 3), 0.09, dims)
+            grid.cells[:] = rng.random(dims) < 0.15
+            axes = rng.normal(size=(12, 3))
+            axes /= np.linalg.norm(axes, axis=1)[:, None]
+            apexes = rng.uniform(-1, 1, (12, 3))
+            lengths = rng.uniform(0.5, 1.5, 12)
+            rows = cone_grid_distance(grid, SightCone(apex=apexes, axis=axes, length=lengths,
+                                                      base_radius=0.1))
+            assert rows.shape == (12,)
+            for apex, axis, length, row in zip(apexes, axes, lengths, rows):
+                cone = SightCone(apex=apex, axis=axis, length=length, base_radius=0.1)
+                assert row == cone_grid_distance(grid, cone) == _brute_cone_distance(grid, cone)
+
+    def test_batch_on_empty_grid_is_sentinel(self):
+        grid = OccupancyGrid.empty((0, 0, 0), 0.1, (10, 10, 10))
+        cones = SightCone(apex=np.zeros((2, 3)), axis=np.tile([0.0, 0.0, 1.0], (2, 1)),
+                          length=np.ones(2), base_radius=0.1)
+        rows = cone_grid_distance(grid, cones)
+        assert rows.shape == (2,) and np.all(rows == NO_OCCUPANCY_DISTANCE)
+
 
 def _point_to_2d_segment(px, py, ax, ay, bx, by):
     dx, dy = bx - ax, by - ay
@@ -276,12 +314,11 @@ class TestGroundTruth:
                                   0.1, body)
         assert d == pytest.approx(1.0 - 0.2 - 0.1, abs=1e-12)
 
-    def test_arm_collides(self):
+    def test_min_body_distance_penetration(self):
         body = PlacedBody(shape=Sphere(0.3), center=np.array([0.0, 0.2, 0.0]),
                           body_id="s")
         caps = [(np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), 0.1)]
-        assert arm_collides(caps, [body])
-        assert min_body_distance(caps, [body]) <= 0.0
+        assert min_body_distance(caps, [body]) == pytest.approx(0.2 - 0.3 - 0.1, abs=1e-12)
 
 
 def test_grid_dump_round_trip(tmp_path, rng):
