@@ -12,9 +12,15 @@ for all active rows. A row leaves the active set when it meets the pose
 tolerance or spends its own iteration budget, so its result does not depend
 on the other rows of the batch, bit for bit.
 
-`ik.ik_solve` runs its restart starts as one batch of rows, and the
-reachability-map builder solves every orientation and restart of a cell as
-one batch. `dls_burst` is the scalar `(q, converged, iterations)` form.
+Rows can be alternatives. With `first` they are ordered: once a row
+converges, the rows after it stop. With `groups` they are unordered, one
+group per target: the first row of a group to converge ends the whole group.
+An `accept` predicate tests each converged row inside the iteration loop; a
+rejected row stops unconverged, so its caller can restart it.
+
+`ik.ik_solve` runs its restart starts as ordered rows, and the
+reachability-map builder solves every orientation of a cell as one group of
+restart rows. `dls_burst` is the scalar `(q, converged, iterations)` form.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ def fk_rows(chain, q: np.ndarray):
 
 def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float,
              rot_tol: float, damping: float, clamp_pos: float, clamp_rot: float,
-             use_rot: bool = True, first: bool = False):
+             use_rot: bool = True, first: bool = False, groups=None, accept=None):
     """Iterate DLS on every row toward its target inside the joint box [lo, hi].
 
     q0 (B, 7) are the starts, target_rot (B, 3, 3) and target_p (B, 3) the
@@ -88,6 +94,12 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
     probes). With first=True the rows are ordered alternatives and only the
     first one to converge matters: rows after it stop early and report
     `converged` False.
+
+    `accept(q (k, 7)) -> (k,) bool` tests the rows that meet the tolerances;
+    a rejected row stops with `converged` False after `used` iterations.
+    `groups` (B,) makes each group of rows a set of alternatives: the first
+    accepted row of a group (the lowest, on a tie) converges and every other
+    row of its group stops at once with `converged` False.
     """
     q_out = np.array(q0, dtype=float)
     n = len(q_out)
@@ -99,6 +111,7 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
     t_rot = np.broadcast_to(target_rot, (n, 3, 3))[rows]
     t_p = np.broadcast_to(target_p, (n, 3))[rows]
     left = budgets[rows]
+    grp = None if groups is None else np.asarray(groups)[rows]
     its = 0
     mu = np.ones(len(rows))
     prev_err = np.full(len(rows), 1e30)
@@ -142,10 +155,18 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
         q_next = np.clip(q + dq, lo, hi)
 
         done = conv | (its >= left)
+        if accept is not None and conv.any():
+            conv[conv] = accept(q[conv])
         if first and conv.any():
             later = rows > rows[conv][0]
             conv &= ~later
             done |= later
+        if grp is not None and conv.any():
+            won = np.flatnonzero(conv)
+            won = won[np.unique(grp[won], return_index=True)[1]]
+            done |= np.isin(grp, grp[won])
+            conv[:] = False
+            conv[won] = True
         if done.any():
             fin = rows[done]
             q_out[fin] = np.where(conv[done, None], q[done], q_next[done])
@@ -155,6 +176,8 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
             rows, q_next = rows[keep], q_next[keep]
             mu, prev_err = mu[keep], prev_err[keep]
             t_rot, t_p, left = t_rot[keep], t_p[keep], left[keep]
+            if grp is not None:
+                grp = grp[keep]
         q = q_next
     return q_out, converged, used
 

@@ -62,12 +62,12 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
         kw["seed"] = args.seed
     if getattr(args, "runs", None) is not None:
         kw["runs"] = args.runs
-    if getattr(args, "ablation", None) is not None:
-        try:
+    try:
+        if getattr(args, "ablation", None) is not None:
             kw["ablation"] = AblationMask.from_label(args.ablation)
-        except ValueError as exc:
-            raise CliError("config-error", str(exc), EXIT_CONFIG)
-    return replace(spec, **kw) if kw else spec
+        return replace(spec, **kw) if kw else spec
+    except ValueError as exc:
+        raise CliError("config-error", str(exc), EXIT_CONFIG)
 
 
 def _outdir(args) -> Path:

@@ -63,11 +63,6 @@ def segment_distances(p1, q1, p2, q2) -> np.ndarray:
     return np.where(inside, np.minimum(best, np.sqrt((diff * diff).sum(axis=-1))), best)
 
 
-def segment_segment_distance(p1, q1, p2, q2) -> float:
-    """Minimum distance between segments p1-q1 and p2-q2."""
-    return float(segment_distances(p1, q1, p2, q2))
-
-
 def point_aabb_distance(points: np.ndarray, lo, hi) -> np.ndarray:
     """Distances from points (n, 3) or (3,) to an axis-aligned box [lo, hi]
     (0 inside)."""

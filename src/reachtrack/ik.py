@@ -9,7 +9,8 @@ call fails and the caller holds the previous configuration.
 The bursts run on the batched core of `_fastkin`. `ik_solve` runs the
 bursts from its restart starts speculatively, side by side, and keeps the
 first that converges, which is the burst the one-at-a-time loop would
-reach. The map builder solves whole cells of rows at once (`reach_rows`).
+reach. The map builder solves whole cells at once (`reach_rows`), each
+orientation's restarts a group that stops at its first hit.
 """
 
 from __future__ import annotations
@@ -200,37 +201,47 @@ def ik_solve(chain: kin.KinematicChain, target: Pose6, q_prev: np.ndarray,
 
 def reach_rows(chain: kin.KinematicChain, q0: np.ndarray, target_rot: np.ndarray,
                target_p: np.ndarray, params: IkParams):
-    """Per row: does `ik_solve` from q0 (B, 7) reach its target (B, 3, 3) and
-    (B, 3), with no grid, no speed cap and no continuity weight? Returns
-    (hit (B,), q (B, 7)), where q holds the solution of each hit row.
+    """Per target: does `ik_solve` from any of its starts q0 (G, R, 7) reach
+    the target (G, 3, 3) and (G, 3), with no grid, no speed cap and no
+    continuity weight? Returns (hit (G,), q (G, 7)), where q holds one
+    solution of each hit target.
 
     Without a grid and a continuity pull the nullspace repair never moves,
-    so a row is a loop of bursts: a burst that converges to a pose free of
-    self-collision is a hit; any other burst restarts the row from the next
-    perturbed seed with the budget it has left. All rows run side by side.
+    so a start is a loop of bursts: a burst that converges to a pose free of
+    self-collision is a hit; any other burst restarts from the next
+    perturbed seed with the budget it has left. All starts run side by side,
+    the R starts of a target as one group of `dls_rows`: the self-collision
+    test runs inside the iterations, and the first accepted start ends its
+    target's other starts at once. A start's trajectory does not depend on
+    the others, so `hit` is what running every start to its end would give.
     """
     lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
-    q0 = np.clip(np.asarray(q0, dtype=float), lo, hi)
-    n = len(q0)
+    q0 = np.asarray(q0, dtype=float)
+    n_targets, n_starts, _ = q0.shape
+    q0 = np.clip(q0.reshape(-1, kin.NUM_JOINTS), lo, hi)
+    group = np.repeat(np.arange(n_targets), n_starts)
     span = np.minimum(hi - q0, q0 - lo)
-    draws = _perturbations(max(params.max_iterations, 0))
+    draws = _perturbations(params.max_iterations)
     settings = _settings(params)
-    hit = np.zeros(n, dtype=bool)
-    solution = np.full((n, kin.NUM_JOINTS), np.nan)
-    left = np.full(n, params.max_iterations)
+    hit = np.zeros(n_targets, dtype=bool)
+    solution = np.full((n_targets, kin.NUM_JOINTS), np.nan)
+    left = np.full(len(q0), params.max_iterations)
     starts = q0.copy()
-    restarts = np.zeros(n, dtype=int)
-    live = np.flatnonzero(left > 0)
+    restarts = np.zeros(len(q0), dtype=int)
+    live = np.arange(len(q0))
+
+    def collision_free(q):
+        return ~kin.self_collision_rows(chain, q)
+
     while len(live):
-        q, converged, used = dls_rows(chain, starts[live], target_rot[live], target_p[live],
+        g = group[live]
+        q, converged, used = dls_rows(chain, starts[live], target_rot[g], target_p[g],
                                       np.minimum(left[live], params.burst_iterations),
-                                      lo, hi, **settings)
+                                      lo, hi, groups=g, accept=collision_free, **settings)
+        hit[g[converged]] = True
+        solution[g[converged]] = q[converged]
         left[live] -= np.maximum(used, 1)
-        ok = converged.copy()
-        ok[converged] = ~kin.self_collision_rows(chain, q[converged])
-        hit[live[ok]] = True
-        solution[live[ok]] = q[ok]
-        live = live[~ok & (left[live] > 0)]
+        live = live[~hit[g] & (left[live] > 0)]
         restarts[live] += 1
         starts[live] = np.clip(q0[live] + draws[restarts[live] - 1] * span[live], lo, hi)
     return hit, solution
@@ -270,7 +281,6 @@ def ik_reachable(chain: kin.KinematicChain, target: Pose6, seed,
     if np.linalg.norm(target.p - chain.base_position()) > chain.max_reach():
         return False
     lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
-    q0 = np.random.default_rng(seed).uniform(lo, hi, (restarts, kin.NUM_JOINTS))
-    rot = np.broadcast_to(target.rotation(), (restarts, 3, 3))
-    p = np.broadcast_to(target.p, (restarts, 3))
-    return bool(reach_rows(chain, q0, rot, p, params)[0].any())
+    q0 = np.random.default_rng(seed).uniform(lo, hi, (1, restarts, kin.NUM_JOINTS))
+    p = np.asarray(target.p, dtype=float)[None]
+    return bool(reach_rows(chain, q0, target.rotation()[None], p, params)[0][0])

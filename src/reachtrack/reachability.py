@@ -113,16 +113,16 @@ def _score_cells(chain: KinematicChain, centers: np.ndarray, flat_indices: np.nd
                  ik_params: IkParams) -> np.ndarray:
     """Score cells: the share of orientations that `ik_reachable` reaches.
 
-    A cell that passes the position probe is solved as one batch of
-    n_orientations x restarts rows (see `ik.reach_rows`); orientation k
-    draws its restart starts from the seed (seed, cell, k), as
-    `ik_reachable` does.
+    A cell that passes the position probe is solved as one `ik.reach_rows`
+    call with n_orientations targets of `restarts` starts each; an
+    orientation's starts stop at its first hit. Orientation k draws its
+    restart starts from the seed (seed, cell, k), as `ik_reachable` does.
     """
     base = chain.base_position()
     reach = chain.max_reach()
     n = len(eulers)
     lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
-    rots = np.repeat([Pose6(r=r).rotation() for r in eulers], restarts, axis=0)
+    rots = np.array([Pose6(r=r).rotation() for r in eulers])
     scores = np.zeros(len(centers))
     for row, (center, flat) in enumerate(zip(centers, flat_indices)):
         if np.linalg.norm(center - base) > reach:
@@ -130,11 +130,11 @@ def _score_cells(chain: KinematicChain, centers: np.ndarray, flat_indices: np.nd
         pos_ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(flat), n))
         if not position_reachable(chain, center, pos_ss, restarts=6):
             continue
-        q0 = np.concatenate([
+        q0 = np.stack([
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(flat), k)))
             .uniform(lo, hi, (restarts, len(lo))) for k in range(n)])
-        hits = reach_rows(chain, q0, rots, np.broadcast_to(center, (len(q0), 3)), ik_params)[0]
-        scores[row] = hits.reshape(n, restarts).any(axis=1).sum() / n
+        hits = reach_rows(chain, q0, rots, np.broadcast_to(center, (n, 3)), ik_params)[0]
+        scores[row] = hits.sum() / n
     return scores
 
 

@@ -9,6 +9,7 @@ with the target either stationary or walking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -102,6 +103,8 @@ class ScenarioSpec:
             raise ValueError("dt must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not (isinstance(self.runs, Integral) and self.runs >= 1):
+            raise ValueError("runs must be an integer >= 1")
         if not self.grid_resolution > 0.0:
             raise ValueError("grid_resolution must be positive")
 

@@ -67,13 +67,6 @@ def matrix_to_euler_xyz(m: np.ndarray) -> np.ndarray:
     return np.array([normalize_angle(rx), normalize_angle(ry), normalize_angle(rz)])
 
 
-def axis_angle_to_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def rotation_logs(m: np.ndarray) -> np.ndarray:
     """Rotation vectors (axis * angle, angle in [0, pi]) of rotation
     matrices m (B, 3, 3), as (B, 3)."""

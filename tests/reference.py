@@ -1,10 +1,14 @@
-"""Sequential reference solvers for the oracle tests: the IK loop one burst
-at a time, every burst a batch of one (`dls_burst`), every collision test
-scalar. The batched solvers in `reachtrack.ik` must agree with them.
+"""Reference implementations for the oracle tests.
+
+Sequential reference solvers: the IK loop one burst at a time, every burst
+a batch of one (`dls_burst`), every collision test scalar. The batched
+solvers in `reachtrack.ik` must agree with them.
 
 The planner objective one pose at a time: each term from `compose_pose_delta`,
 a single `SightCone`, single-point grid and map queries and `rescale`. The
-batched evaluator in `reachtrack.planner` must agree with it."""
+batched evaluator in `reachtrack.planner` must agree with it.
+
+The Rodrigues rotation matrix, as an independent check of the FK core."""
 
 from dataclasses import replace
 
@@ -16,6 +20,13 @@ from reachtrack._fastkin import dls_burst
 from reachtrack.planner import rescale
 from reachtrack.transforms import Pose6, compose_pose_delta
 from reachtrack.world import SightCone, cone_grid_distance, point_grid_distance
+
+
+def axis_angle_to_matrix(axis, angle):
+    """Rodrigues rotation about a unit axis."""
+    x, y, z = axis
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def sequential_ik_solve(chain, target, q_prev, grid, params):

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reachtrack.config import ConfigError, config_from_dict, default_config_dict
+from reachtrack.reachability import ReachabilityMap, save_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,11 +74,16 @@ def _cli(tmp_path, config: dict, *args):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
 
 
-def _assert_config_error(done, prefix):
-    assert done.returncode == 2
+def _assert_error_line(done, code, error_class, prefix=""):
+    """The CLI failed with exit `code` and printed one `error-class: message` line."""
+    assert done.returncode == code
     assert done.stdout == ""
     lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config-error: " + prefix)
+    assert len(lines) == 1 and lines[0].startswith(f"{error_class}: {prefix}")
+
+
+def _assert_config_error(done, prefix):
+    _assert_error_line(done, 2, "config-error", prefix)
 
 
 def test_cli_reports_config_error_in_one_line(tmp_path):
@@ -91,3 +98,33 @@ def test_cli_run_rejects_bad_planner_values(tmp_path, key, value):
     done = _cli(tmp_path, _with_planner({key: value}),
                 "run", "--runs", "1", "--ablation", "track+occl+col", "--out", str(tmp_path))
     _assert_config_error(done, f"planner: {key} ")
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_cli_run_rejects_runs_below_one(tmp_path, runs):
+    done = _cli(tmp_path, default_config_dict(),
+                "run", "--runs", runs, "--ablation", "track", "--out", str(tmp_path))
+    _assert_config_error(done, "runs must be an integer >= 1")
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+def test_cli_missing_map(tmp_path):
+    done = _cli(tmp_path, default_config_dict(),
+                "export-slice", "--z", "1.0", "--map", str(tmp_path / "none.bin"))
+    _assert_error_line(done, 3, "missing-map", f"{tmp_path / 'none.bin'} not found")
+
+
+def test_cli_bad_map_file(tmp_path):
+    (tmp_path / "junk.bin").write_bytes(b"not a map\n")
+    done = _cli(tmp_path, default_config_dict(),
+                "export-slice", "--z", "1.0", "--map", str(tmp_path / "junk.bin"))
+    _assert_error_line(done, 2, "bad-map-file", "not a reachability map file")
+
+
+def test_cli_map_chain_mismatch(tmp_path):
+    rmap = ReachabilityMap(origin=np.zeros(3), resolution=0.5, dims=(2, 2, 2),
+                           scores=np.zeros((2, 2, 2)), chain_hash="another-chain")
+    save_map(rmap, tmp_path / "map.bin")
+    done = _cli(tmp_path, default_config_dict(),
+                "export-slice", "--z", "1.0", "--map", str(tmp_path / "map.bin"))
+    _assert_error_line(done, 2, "map-chain-mismatch", "map was built for chain another-chain")

@@ -9,7 +9,6 @@ from reachtrack.geometry import (
     segment_aabb_distance,
     segment_aabb_intersects,
     segment_distances,
-    segment_segment_distance,
     signed_point_cone_distance,
 )
 
@@ -37,27 +36,23 @@ def test_point_segment_distance_batch_matches_scalar(rng):
 
 
 def test_segment_segment_distance_cases():
-    # Parallel unit-separated.
-    assert segment_segment_distance([0, 0, 0], [1, 0, 0],
-                                    [0, 1, 0], [1, 1, 0]) == pytest.approx(1.0)
-    # Crossing.
-    assert segment_segment_distance([-1, 0, 0], [1, 0, 0],
-                                    [0, -1, 1], [0, 1, 1]) == pytest.approx(1.0)
-    # Sharing an endpoint.
-    assert segment_segment_distance([0, 0, 0], [1, 0, 0],
-                                    [1, 0, 0], [2, 5, 0]) == pytest.approx(0.0)
-    # Short perpendicular segments meeting at the origin are not parallel.
-    assert segment_segment_distance([0, 4.3e-5, 0], [0, 0, 0],
-                                    [0, 0, 0], [0, 0, 0.002]) == 0.0
-    # A very short segment is not a point: it ends on the other one.
-    assert segment_segment_distance([0, 0, 1.4e-8], [0, 0, 0],
-                                    [0, 0, 0], [0, 0, 0]) == 0.0
-    assert segment_segment_distance([0, 0, 0], [0, 0, 0],
-                                    [0, 0, 1.4e-8], [0, 0, 0]) == 0.0
+    ends = np.array([
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],          # parallel, unit-separated
+        [[-1, 0, 0], [1, 0, 0], [0, -1, 1], [0, 1, 1]],        # crossing
+        [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 5, 0]],          # sharing an endpoint
+        # Short perpendicular segments meeting at the origin are not parallel.
+        [[0, 4.3e-5, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0.002]],
+        # A very short segment is not a point: it ends on the other one.
+        [[0, 0, 1.4e-8], [0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1.4e-8], [0, 0, 0]],
+    ], dtype=float)
+    d = segment_distances(ends[:, 0], ends[:, 1], ends[:, 2], ends[:, 3])
+    assert d[:3] == pytest.approx([1.0, 1.0, 0.0])
+    assert np.all(d[3:] == 0.0)
 
 
 def test_segment_distances_rows_match_pairs(rng):
-    """The row form equals the pairwise form, degenerate rows included."""
+    """A row of a batch equals the same pair alone, degenerate rows included."""
     ends = rng.uniform(-1, 1, (200, 4, 3))
     ends[:20, 1] = ends[:20, 0]                  # segment 1 a point
     ends[20:40, 3] = ends[20:40, 2]              # segment 2 a point
@@ -65,13 +60,13 @@ def test_segment_distances_rows_match_pairs(rng):
     ends[50:70, 3] = ends[50:70, 2] + (ends[50:70, 1] - ends[50:70, 0])   # parallel
     rows = segment_distances(ends[:, 0], ends[:, 1], ends[:, 2], ends[:, 3])
     for row, (p1, q1, p2, q2) in zip(rows, ends):
-        assert row == segment_segment_distance(p1, q1, p2, q2)
+        assert row == segment_distances(p1, q1, p2, q2)
 
 
 @given(p1=vec3, q1=vec3, p2=vec3, q2=vec3)
 @settings(max_examples=150, deadline=None)
 def test_segment_segment_distance_vs_sampling(p1, q1, p2, q2):
-    d = segment_segment_distance(p1, q1, p2, q2)
+    d = segment_distances(*np.array([[p1, q1, p2, q2]], dtype=float).transpose(1, 0, 2))[0]
     ts = np.linspace(0.0, 1.0, 25)
     a = np.asarray(p1) + ts[:, None] * (np.asarray(q1) - np.asarray(p1))
     b = np.asarray(p2) + ts[:, None] * (np.asarray(q2) - np.asarray(p2))

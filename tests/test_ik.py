@@ -171,6 +171,63 @@ def test_dls_row_same_alone_or_in_batch(chain, params, rng):
         assert np.array_equal(qi, q[i]) and ci == converged[i] and ui == used[i]
 
 
+def test_dls_groups_stop_at_first_accepted_row(chain, params, rng):
+    """Each group of rows stops at its first converged row; the other rows
+    of the group stop in that iteration, and rows of unfinished groups run
+    as they would alone."""
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    settings = ik._settings(params)
+    q_sol = chain.random_config(rng) * 0.5
+    goal = forward_kinematics(chain, q_sol).camera_pose
+    q0 = np.clip(q_sol + rng.uniform(-0.3, 0.3, (12, 7)), lo, hi)
+    q0[0] = q_sol                                 # group 0: row 0 is a solution
+    p = np.tile(goal.p, (12, 1))
+    p[8:] += 2.0                                  # group 2: out of reach
+    rot = np.broadcast_to(goal.rotation(), (12, 3, 3))
+    groups = np.repeat([0, 1, 2], 4)
+    q, converged, used = dls_rows(chain, q0, rot, p, 40, lo, hi, groups=groups, **settings)
+    alone = [dls_burst(chain, q0[i], rot[i], p[i], 40, lo, hi, **settings) for i in range(12)]
+    alone_used = np.array([a[2] for a in alone])
+
+    assert np.array_equal(used[:4], [1, 1, 1, 1])
+    assert list(converged[:4]) == [True, False, False, False]
+    assert np.array_equal(q[0], q_sol)
+
+    won = 4 + min(range(4), key=lambda i: (not alone[4 + i][1], alone_used[4 + i]))
+    assert alone[won][1] and max(alone_used[4:8]) > alone_used[won]
+    assert np.flatnonzero(converged[4:8]).tolist() == [won - 4]
+    assert np.array_equal(q[won], alone[won][0])
+    assert np.array_equal(used[4:8], np.minimum(alone_used[4:8], alone_used[won]))
+
+    assert not converged[8:].any()
+    for i in range(8, 12):
+        assert np.array_equal(q[i], alone[i][0]) and used[i] == alone_used[i] == 40
+
+
+def test_dls_rejected_row_stops_unconverged(chain, params, rng):
+    """A converged row that `accept` rejects stops in the iteration it
+    converged in, unconverged, and leaves its group running."""
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    settings = ik._settings(params)
+    q_sol = chain.random_config(rng) * 0.5
+    goal = forward_kinematics(chain, q_sol).camera_pose
+    q0 = np.clip(q_sol + rng.uniform(-0.3, 0.3, (6, 7)), lo, hi)
+    rot = np.broadcast_to(goal.rotation(), (6, 3, 3))
+    p = np.broadcast_to(goal.p, (6, 3))
+    alone = [dls_burst(chain, q0[i], rot[i], p[i], 40, lo, hi, **settings) for i in range(6)]
+    assert all(a[1] for a in alone)
+    checked = []
+
+    def reject_all(q):
+        checked.append(len(q))
+        return np.zeros(len(q), dtype=bool)
+
+    _, converged, used = dls_rows(chain, q0, rot, p, 40, lo, hi, groups=np.zeros(6, int),
+                                  accept=reject_all, **settings)
+    assert not converged.any() and sum(checked) == 6
+    assert np.array_equal(used, [a[2] for a in alone])
+
+
 def _count_bursts(monkeypatch):
     """Count the sequential (batch-of-one) bursts ik_solve runs: its repairs."""
     calls = []

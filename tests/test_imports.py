@@ -1,9 +1,14 @@
-"""Every module of `reachtrack` uses each name it imports.
+"""Every module of `reachtrack` uses each name it imports, and every
+top-level function has a caller outside the tests.
 
 A stand-in for a linter's unused-import rule (F401), which no installed
 tool provides: a name that an import binds and the module never reads
 fails here. An import on a line marked `# noqa: F401`, and a name that
 `__init__.py` re-exports through `__all__`, count as used.
+
+A function that only tests call is dead code with a test. The package and
+the benchmark in `perfbench/` are the callers; `perfbench` patches some
+functions by name, so a string equal to the name counts as a reference.
 """
 
 import ast
@@ -11,7 +16,17 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reachtrack"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "reachtrack"
+BENCH = ROOT / "perfbench"
+
+# Functions that only tests call, kept on purpose, with the reason.
+TEST_ONLY = {
+    "world.save_grid": "occupancy-grid dump for inspection; no command writes one yet",
+    "world.load_grid": "reads the occupancy-grid dump back",
+    "kinematics.save_chain": "chain file; configs embed their chain, no command writes one",
+    "kinematics.load_chain": "reads a chain file back",
+}
 
 
 def _annotation_names(tree):
@@ -76,3 +91,43 @@ def test_checker_finds_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names that `source` reads, imports or spells as a string."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def uncalled_functions(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.function` for each top-level function of `modules` (name ->
+    source) that no source in `callers` references."""
+    used = set().union(*map(referenced_names, callers))
+    return [f"{name}.{node.name}" for name, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name not in used]
+
+
+def test_checker_finds_uncalled_functions():
+    modules = {"m": "def used():\n    pass\ndef patched():\n    pass\n"
+                    "def orphan():\n    return orphan\n"}
+    callers = ["from m import used\nused()\n", "patch(m, 'patched')\n"]
+    assert uncalled_functions(modules, callers) == ["m.orphan"]
+
+
+def test_every_function_has_a_caller_outside_tests():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    bench = [p.read_text() for p in sorted(BENCH.rglob("*.py"))
+             if "tests" not in p.relative_to(BENCH).parts]
+    uncalled = uncalled_functions(modules, [*modules.values(), *bench])
+    assert sorted(uncalled) == sorted(TEST_ONLY)

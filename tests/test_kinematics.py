@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from reachtrack.geometry import segment_segment_distance
+from reachtrack.geometry import segment_distances
 from reachtrack.kinematics import (
     Capsule,
     ChainSchemaError,
@@ -18,7 +18,8 @@ from reachtrack.kinematics import (
     self_collision_rows,
     world_capsules,
 )
-from reachtrack.transforms import axis_angle_to_matrix, make_transform
+from reachtrack.transforms import make_transform
+from reference import axis_angle_to_matrix
 
 
 def _matrix_chain_oracle(chain, q):
@@ -125,7 +126,7 @@ class TestSelfCollision:
             for j in range(i + 2, len(caps)):
                 a1, b1, r1 = caps[i]
                 a2, b2, r2 = caps[j]
-                assert segment_segment_distance(a1, b1, a2, b2) >= r1 + r2
+                assert segment_distances(a1, b1, a2, b2) >= r1 + r2
         assert not self_collision(chain, np.zeros(7))
 
     def test_coincident_capsules_collide(self):
@@ -147,7 +148,7 @@ class TestSelfCollision:
         q = np.zeros(7)
         q[1] = 0.6
         caps = world_capsules(chain, q)
-        touching = segment_segment_distance(*caps[0][:2], *caps[1][:2])
+        touching = segment_distances(*caps[0][:2], *caps[1][:2])
         assert touching < caps[0][2] + caps[1][2]  # they do overlap
         assert not self_collision(chain, q)
 
@@ -159,7 +160,7 @@ class TestSelfCollision:
         for qi, got in zip(q, rows):
             caps = world_capsules(chain, qi)
             expected = any(
-                segment_segment_distance(*caps[i][:2], *caps[j][:2]) < caps[i][2] + caps[j][2]
+                segment_distances(*caps[i][:2], *caps[j][:2]) < caps[i][2] + caps[j][2]
                 for i in range(len(caps)) for j in range(i + 2, len(caps)))
             assert got == expected == self_collision(chain, qi)
         assert 0 < rows.sum() < len(q)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachtrack.geometry import segment_segment_distance
+from reachtrack.geometry import segment_distances
+from reachtrack import ik
 from reachtrack.ik import IkParams, ik_reachable, reach_rows
 from reachtrack.kinematics import forward_kinematics, self_collision, world_capsules
 from reachtrack.reachability import (
@@ -17,7 +18,7 @@ from reachtrack.reachability import (
     slice_rows,
 )
 from reachtrack.transforms import Pose6, matrix_to_euler_xyz, rotation_log
-from reference import sequential_score_cells
+from reference import sequential_ik_reachable, sequential_score_cells
 
 BUILD_IK = IkParams(max_iterations=80)
 
@@ -166,15 +167,18 @@ class TestBatchedCells:
         assert np.array_equal(got, ref)
 
     def test_every_hit_row_fk_verified(self, chain):
-        """Pose tolerance, joint limits and self-collision of every hit row,
-        re-checked from the capsules of the scalar FK."""
+        """Pose tolerance, joint limits and self-collision of the solution of
+        every hit target, re-checked from the capsules of the scalar FK."""
         eulers = self._eulers(20, 8)
-        rots = np.repeat([Pose6(r=r).rotation() for r in eulers], 4, axis=0)
+        rots = np.array([Pose6(r=r).rotation() for r in eulers])
         lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
         hits = 0
         for center in self.CENTERS:
-            q0 = np.random.default_rng(int(center.sum() * 100)).uniform(lo, hi, (len(rots), 7))
+            rng = np.random.default_rng(int(center.sum() * 100))
+            q0 = rng.uniform(lo, hi, (len(rots), 4, 7))
             hit, q = reach_rows(chain, q0, rots, np.broadcast_to(center, (len(rots), 3)), self.IK)
+            assert hit.shape == (len(rots),) and q.shape == (len(rots), 7)
+            assert np.all(np.isnan(q[~hit]))
             for k in np.flatnonzero(hit):
                 frame = forward_kinematics(chain, q[k]).camera_frame
                 assert np.linalg.norm(frame[:3, 3] - center) <= self.IK.pos_tolerance
@@ -184,10 +188,40 @@ class TestBatchedCells:
                 caps = world_capsules(chain, q[k])
                 for i in range(len(caps)):
                     for j in range(i + 2, len(caps)):
-                        assert segment_segment_distance(*caps[i][:2], *caps[j][:2]) >= \
+                        assert segment_distances(*caps[i][:2], *caps[j][:2]) >= \
                             caps[i][2] + caps[j][2]
             hits += hit.sum()
-        assert 0 < hits < 3 * len(rots)
+        assert 0 < hits < len(self.CENTERS) * len(rots)
+
+    def test_rejected_rows_restart_like_sequential(self, chain, monkeypatch):
+        """Beside the base many converged rows self-collide. The check runs
+        inside the DLS iterations: a rejected row leaves its group's batch
+        and restarts, and its group's other rows run on. Every orientation's
+        verdict equals the one-restart-at-a-time reference."""
+        verdicts, rounds = [], []
+        dls_rows = ik.dls_rows
+
+        def spy(*args, accept, groups, **kwargs):
+            def counted(q):
+                ok = accept(q)
+                verdicts.append(ok)
+                return ok
+            rounds.append(groups)
+            return dls_rows(*args, accept=counted, groups=groups, **kwargs)
+
+        monkeypatch.setattr(ik, "dls_rows", spy)
+        center = np.array([0.1, 0.1, 0.3])
+        hit_after_rejection = restarted = False
+        for k, euler in enumerate(self._eulers(16, 5)):
+            target = Pose6(p=center, r=euler)
+            verdicts.clear()
+            rounds.clear()
+            got = ik_reachable(chain, target, seed=k, restarts=4, params=self.IK)
+            assert got == sequential_ik_reachable(chain, target, k, 4, self.IK)
+            rejected = sum(int((~ok).sum()) for ok in verdicts)
+            hit_after_rejection |= got and rejected > 0
+            restarted |= rejected > 0 and len(rounds) > 1
+        assert hit_after_rejection and restarted
 
 
 class TestPersistence:
