@@ -3,7 +3,9 @@
 Everything here works on rows: a leading batch axis of joint vectors,
 `(B, 7)`. `_joint_frames` is the one forward-kinematics computation of the
 package. The DLS iterations call it directly; `fk_rows` wraps it for the
-scalar helpers of `kinematics` and for the batched self-collision check.
+scalar helpers of `kinematics`. `_link_frames` turns its output into the
+rotated link frames, for `fk_rows` and for the rows a DLS iteration hands
+to its `accept` test.
 
 `dls_rows` runs DLS (Buss 2004) on B independent rows at once. Each
 iteration evaluates the Rodrigues joint rotations, the frame chain, the
@@ -15,12 +17,17 @@ on the other rows of the batch, bit for bit.
 Rows can be alternatives. With `first` they are ordered: once a row
 converges, the rows after it stop. With `groups` they are unordered, one
 group per target: the first row of a group to converge ends the whole group.
-An `accept` predicate tests each converged row inside the iteration loop; a
-rejected row stops unconverged, so its caller can restart it.
+An `accept(q, links)` predicate tests each converged row inside the
+iteration loop, on the link frames that iteration already computed; a
+rejected row stops unconverged. A `restart` callback can send a row that
+stops unconverged on from a new start in the same loop, with fresh damping
+and its own iteration count, so the loop's length is bounded by a row's
+total budget rather than by its number of restarts.
 
 `ik.ik_solve` runs its restart starts as ordered rows, and the
-reachability-map builder solves every orientation of a cell as one group of
-restart rows. `dls_burst` is the scalar `(q, converged, iterations)` form.
+reachability-map builder solves a whole cell in one loop (`ik.reach_rows`):
+each orientation's restarts are a group, and rejected or spent rows restart
+in place. `dls_burst` is the scalar `(q, converged, iterations)` form.
 """
 
 from __future__ import annotations
@@ -75,13 +82,20 @@ def fk_rows(chain, q: np.ndarray):
     frames, camera, s, c = _joint_frames(chain, np.asarray(q, dtype=float))
     origins = frames[:NUM_JOINTS, :, :3, 3].transpose(1, 0, 2)
     axes_w = _world_axes(chain, frames).transpose(1, 0, 2)
+    return origins, axes_w, camera, _link_frames(chain, frames, s, c)
+
+
+def _link_frames(chain, frames: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rotated link frames (B, 7, 4, 4) from the joint-major frames and the
+    s, c of `_joint_frames`: link i's frame is frames[i] @ J_i."""
     rots = (chain._eye4_flat + s * chain._k4 + c * chain._k2_4).reshape(NUM_JOINTS, -1, 4, 4)
-    return origins, axes_w, camera, (frames[:NUM_JOINTS] @ rots).transpose(1, 0, 2, 3)
+    return (frames[:NUM_JOINTS] @ rots).transpose(1, 0, 2, 3)
 
 
 def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float,
              rot_tol: float, damping: float, clamp_pos: float, clamp_rot: float,
-             use_rot: bool = True, first: bool = False, groups=None, accept=None):
+             use_rot: bool = True, first: bool = False, groups=None, accept=None,
+             restart=None):
     """Iterate DLS on every row toward its target inside the joint box [lo, hi].
 
     q0 (B, 7) are the starts, target_rot (B, 3, 3) and target_p (B, 3) the
@@ -95,11 +109,21 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
     first one to converge matters: rows after it stop early and report
     `converged` False.
 
-    `accept(q (k, 7)) -> (k,) bool` tests the rows that meet the tolerances;
-    a rejected row stops with `converged` False after `used` iterations.
+    `accept(q (k, 7), links (k, 7, 4, 4)) -> (k,) bool` tests the rows that
+    meet the tolerances, given their rotated link frames (those `fk_rows`
+    returns, taken from the iteration's own forward kinematics); a rejected
+    row stops with `converged` False after `used` iterations.
     `groups` (B,) makes each group of rows a set of alternatives: the first
     accepted row of a group (the lowest, on a tie) converges and every other
     row of its group stops at once with `converged` False.
+
+    `restart(rows (k,), used (k,)) -> (again (k,) bool, starts (m, 7),
+    budgets (m,))` hears of the rows that stop unconverged, rejected or out
+    of budget, but not of rows that another row's success stops. A row sent
+    `again` runs on in the same loop from its new start, with fresh damping
+    and its own iteration count, so each of its runs is the one a new call
+    from that start and budget would make, bit for bit. Its results are
+    those of its last run.
     """
     q_out = np.array(q0, dtype=float)
     n = len(q_out)
@@ -112,12 +136,12 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
     t_p = np.broadcast_to(target_p, (n, 3))[rows]
     left = budgets[rows]
     grp = None if groups is None else np.asarray(groups)[rows]
-    its = 0
+    its = np.zeros(len(rows), dtype=int)
     mu = np.ones(len(rows))
     prev_err = np.full(len(rows), 1e30)
     while len(rows):
         its += 1
-        frames, camera, _, _ = _joint_frames(chain, q)
+        frames, camera, s, c = _joint_frames(chain, q)
         cam_p = camera[:, :3, 3]
         e = np.empty((len(rows), 6))
         np.subtract(t_p, cam_p, out=e[:, :3])
@@ -156,24 +180,40 @@ def dls_rows(chain, q0, target_rot, target_p, budgets, lo, hi, *, pos_tol: float
 
         done = conv | (its >= left)
         if accept is not None and conv.any():
-            conv[conv] = accept(q[conv])
+            conv[conv] = accept(q[conv], _link_frames(chain, frames[:, conv], s[:, conv],
+                                                      c[:, conv]))
+        stopped = None                      # rows another row's success stops
         if first and conv.any():
-            later = rows > rows[conv][0]
-            conv &= ~later
-            done |= later
+            stopped = rows > rows[conv][0]
+            conv &= ~stopped
+            done |= stopped
         if grp is not None and conv.any():
             won = np.flatnonzero(conv)
             won = won[np.unique(grp[won], return_index=True)[1]]
-            done |= np.isin(grp, grp[won])
+            stopped = np.isin(grp, grp[won])
+            done |= stopped
             conv[:] = False
             conv[won] = True
+        if restart is not None:
+            ended = done & ~conv
+            if stopped is not None:
+                ended &= ~stopped
+            if ended.any():
+                idx = np.flatnonzero(ended)
+                again, starts, budgets_again = restart(rows[idx], its[idx])
+                idx = idx[again]
+                q_next[idx], left[idx] = starts, budgets_again
+                its[idx] = 0
+                mu[idx] = 1.0
+                prev_err[idx] = 1e30
+                done[idx] = False
         if done.any():
             fin = rows[done]
             q_out[fin] = np.where(conv[done, None], q[done], q_next[done])
             converged[fin] = conv[done]
-            used[fin] = its
+            used[fin] = its[done]
             keep = ~done
-            rows, q_next = rows[keep], q_next[keep]
+            rows, q_next, its = rows[keep], q_next[keep], its[keep]
             mu, prev_err = mu[keep], prev_err[keep]
             t_rot, t_p, left = t_rot[keep], t_p[keep], left[keep]
             if grp is not None:

@@ -9,8 +9,10 @@ call fails and the caller holds the previous configuration.
 The bursts run on the batched core of `_fastkin`. `ik_solve` runs the
 bursts from its restart starts speculatively, side by side, and keeps the
 first that converges, which is the burst the one-at-a-time loop would
-reach. The map builder solves whole cells at once (`reach_rows`), each
-orientation's restarts a group that stops at its first hit.
+reach. The map builder solves a whole cell as one `dls_rows` loop
+(`reach_rows`): each orientation's restarts are a group that stops at its
+first hit, the self-collision test reads the iteration's own link frames,
+and a rejected or spent burst restarts from its next seed inside the loop.
 """
 
 from __future__ import annotations
@@ -209,11 +211,13 @@ def reach_rows(chain: kin.KinematicChain, q0: np.ndarray, target_rot: np.ndarray
     Without a grid and a continuity pull the nullspace repair never moves,
     so a start is a loop of bursts: a burst that converges to a pose free of
     self-collision is a hit; any other burst restarts from the next
-    perturbed seed with the budget it has left. All starts run side by side,
-    the R starts of a target as one group of `dls_rows`: the self-collision
-    test runs inside the iterations, and the first accepted start ends its
-    target's other starts at once. A start's trajectory does not depend on
-    the others, so `hit` is what running every start to its end would give.
+    perturbed seed with the budget it has left. All of it is one `dls_rows`
+    loop, the R starts of a target one group: the self-collision test runs
+    inside the iterations on the iteration's own link frames, a rejected or
+    spent burst restarts in place, and the first accepted burst ends its
+    target's other starts at once. A start's bursts do not depend on the
+    others, so `hit` is what running every start to its end would give, and
+    the loop runs at most `max_iterations` iterations.
     """
     lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
     q0 = np.asarray(q0, dtype=float)
@@ -222,28 +226,28 @@ def reach_rows(chain: kin.KinematicChain, q0: np.ndarray, target_rot: np.ndarray
     group = np.repeat(np.arange(n_targets), n_starts)
     span = np.minimum(hi - q0, q0 - lo)
     draws = _perturbations(params.max_iterations)
-    settings = _settings(params)
-    hit = np.zeros(n_targets, dtype=bool)
-    solution = np.full((n_targets, kin.NUM_JOINTS), np.nan)
     left = np.full(len(q0), params.max_iterations)
-    starts = q0.copy()
     restarts = np.zeros(len(q0), dtype=int)
-    live = np.arange(len(q0))
 
-    def collision_free(q):
-        return ~kin.self_collision_rows(chain, q)
+    def collision_free(q, links):
+        return ~kin.self_collision_rows(chain, q, links)
 
-    while len(live):
-        g = group[live]
-        q, converged, used = dls_rows(chain, starts[live], target_rot[g], target_p[g],
-                                      np.minimum(left[live], params.burst_iterations),
-                                      lo, hi, groups=g, accept=collision_free, **settings)
-        hit[g[converged]] = True
-        solution[g[converged]] = q[converged]
-        left[live] -= np.maximum(used, 1)
-        live = live[~hit[g] & (left[live] > 0)]
-        restarts[live] += 1
-        starts[live] = np.clip(q0[live] + draws[restarts[live] - 1] * span[live], lo, hi)
+    def next_start(rows, used):
+        left[rows] -= np.maximum(used, 1)
+        again = left[rows] > 0
+        rows = rows[again]
+        restarts[rows] += 1
+        starts = np.clip(q0[rows] + draws[restarts[rows] - 1] * span[rows], lo, hi)
+        return again, starts, np.minimum(left[rows], params.burst_iterations)
+
+    q, converged, _ = dls_rows(chain, q0, target_rot[group], target_p[group],
+                               np.minimum(left, params.burst_iterations), lo, hi,
+                               groups=group, accept=collision_free, restart=next_start,
+                               **_settings(params))
+    hit = np.zeros(n_targets, dtype=bool)
+    hit[group[converged]] = True
+    solution = np.full((n_targets, kin.NUM_JOINTS), np.nan)
+    solution[group[converged]] = q[converged]
     return hit, solution
 
 

@@ -16,7 +16,7 @@ import numpy as np
 # ik_reachable is the one-orientation form of _score_cells; it stays importable here.
 from .ik import IkParams, ik_reachable, position_reachable, reach_rows  # noqa: F401
 from .kinematics import KinematicChain
-from .transforms import Pose6, matrix_to_euler_xyz
+from .transforms import euler_xyz_to_matrix, matrix_to_euler_xyz, normalize_angle
 
 MAP_MAGIC = "reachability-map 1"
 
@@ -122,7 +122,7 @@ def _score_cells(chain: KinematicChain, centers: np.ndarray, flat_indices: np.nd
     reach = chain.max_reach()
     n = len(eulers)
     lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
-    rots = np.array([Pose6(r=r).rotation() for r in eulers])
+    rots = euler_xyz_to_matrix(normalize_angle(eulers))  # bit-equal to Pose6(r=r).rotation()
     scores = np.zeros(len(centers))
     for row, (center, flat) in enumerate(zip(centers, flat_indices)):
         if np.linalg.norm(center - base) > reach:

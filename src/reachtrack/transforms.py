@@ -41,8 +41,28 @@ def rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _axis_rotations(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Rotations (n, 3, 3) by the angles a (n,) about axis 3 - i - j, for
+    (i, j) cyclic in (x, y, z): cos at (i, i) and (j, j), -sin at (i, j)."""
+    c, s = np.cos(a), np.sin(a)
+    m = np.zeros((len(a), 3, 3))
+    m[:, 3 - i - j, 3 - i - j] = 1.0
+    m[:, i, i] = c
+    m[:, j, j] = c
+    m[:, i, j] = -s
+    m[:, j, i] = s
+    return m
+
+
 def euler_xyz_to_matrix(r) -> np.ndarray:
-    """Rotation matrix for intrinsic Euler-XYZ angles (rx, ry, rz)."""
+    """Rotation matrix for intrinsic Euler-XYZ angles (rx, ry, rz).
+
+    Rows r (n, 3) give (n, 3, 3), the same product stacked: each matrix is
+    bit-equal to the one of its row alone.
+    """
+    if getattr(r, "ndim", 1) == 2:
+        return (_axis_rotations(r[:, 0], 1, 2) @ _axis_rotations(r[:, 1], 2, 0)
+                @ _axis_rotations(r[:, 2], 0, 1))
     rx, ry, rz = float(r[0]), float(r[1]), float(r[2])
     return rot_x(rx) @ rot_y(ry) @ rot_z(rz)
 

@@ -25,8 +25,6 @@ from .geometry import (
 # every distance-thresholded term treats it as "deactivated".
 NO_OCCUPANCY_DISTANCE = 1e6
 
-GRID_DUMP_MAGIC = "occupancy-grid 1"
-
 
 class GridTooSmallError(ValueError):
     def __init__(self, body_id: str):
@@ -324,37 +322,3 @@ def min_body_distance(capsules, bodies) -> float:
             if d < worst:
                 worst = d
     return worst
-
-
-# -- debug dump --------------------------------------------------------------
-
-def save_grid(grid: OccupancyGrid, path, config_hash: str = "") -> None:
-    """Flat binary bitmap with a small text header, for visual inspection."""
-    with open(path, "wb") as fh:
-        header = [
-            GRID_DUMP_MAGIC,
-            "origin %r %r %r" % tuple(float(v) for v in grid.origin),
-            "resolution %r" % float(grid.resolution),
-            "dims %d %d %d" % grid.dims,
-            "config %s" % (config_hash or "-"),
-            "data",
-        ]
-        fh.write(("\n".join(header) + "\n").encode())
-        fh.write(np.packbits(grid.cells.reshape(-1)).tobytes())
-
-
-def load_grid(path) -> OccupancyGrid:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head, _, payload = raw.partition(b"data\n")
-    lines = head.decode().strip().splitlines()
-    if not lines or lines[0] != GRID_DUMP_MAGIC:
-        raise ValueError("not an occupancy grid dump")
-    fields = {ln.split()[0]: ln.split()[1:] for ln in lines[1:]}
-    origin = np.array([float(v) for v in fields["origin"]])
-    resolution = float(fields["resolution"][0])
-    dims = tuple(int(v) for v in fields["dims"])
-    n = dims[0] * dims[1] * dims[2]
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
-    return OccupancyGrid(origin=origin, resolution=resolution, dims=dims,
-                         cells=bits.astype(bool).reshape(dims))

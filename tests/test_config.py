@@ -64,9 +64,12 @@ def test_bad_section_values_rejected(section, key, value):
         config_from_dict(data)
 
 
-def _cli(tmp_path, config: dict, *args):
+def _cli(tmp_path, config: dict | None, *args):
+    """Run the CLI in tmp_path with `config` as its config file; with None
+    the file does not exist."""
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
+    if config is not None:
+        path.write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     return subprocess.run(
@@ -105,6 +108,13 @@ def test_cli_run_rejects_runs_below_one(tmp_path, runs):
     done = _cli(tmp_path, default_config_dict(),
                 "run", "--runs", runs, "--ablation", "track", "--out", str(tmp_path))
     _assert_config_error(done, "runs must be an integer >= 1")
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+def test_cli_missing_config(tmp_path):
+    done = _cli(tmp_path, None, "run", "--runs", "1", "--ablation", "track",
+                "--out", str(tmp_path))
+    _assert_error_line(done, 3, "missing-config", f"no such file: {tmp_path / 'bad.json'}")
     assert not (tmp_path / "aggregate.csv").exists()
 
 

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from reachtrack import ik
-from reachtrack._fastkin import dls_burst, dls_rows
+from reachtrack._fastkin import dls_burst, dls_rows, fk_rows
 from reachtrack.ik import IkParams, ik_reachable, ik_solve, position_reachable
 from reachtrack.kinematics import forward_kinematics, self_collision, world_capsules
 from reachtrack.transforms import Pose6, rotation_log
@@ -218,7 +218,7 @@ def test_dls_rejected_row_stops_unconverged(chain, params, rng):
     assert all(a[1] for a in alone)
     checked = []
 
-    def reject_all(q):
+    def reject_all(q, links):
         checked.append(len(q))
         return np.zeros(len(q), dtype=bool)
 
@@ -226,6 +226,65 @@ def test_dls_rejected_row_stops_unconverged(chain, params, rng):
                                   accept=reject_all, **settings)
     assert not converged.any() and sum(checked) == 6
     assert np.array_equal(used, [a[2] for a in alone])
+
+
+def test_dls_accept_gets_the_rows_link_frames(chain, params, rng):
+    """The link frames `accept` receives are those `fk_rows` gives its rows."""
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    q_sol = chain.random_config(rng) * 0.5
+    goal = forward_kinematics(chain, q_sol).camera_pose
+    q0 = np.clip(q_sol + rng.uniform(-0.3, 0.3, (8, 7)), lo, hi)
+    seen = []
+
+    def record(q, links):
+        seen.append((q.copy(), links.copy()))
+        return np.arange(len(q)) % 2 == 0
+
+    dls_rows(chain, q0, goal.rotation(), goal.p, 40, lo, hi, accept=record,
+             **ik._settings(params))
+    assert sum(len(q) for q, _ in seen) == 8 and len(seen) > 1
+    for q, links in seen:
+        assert links.shape == (len(q), 7, 4, 4)
+        assert np.array_equal(links, fk_rows(chain, q)[3])
+
+
+def test_dls_restarted_row_runs_as_a_fresh_call(chain, params, rng):
+    """A row that ends unconverged, rejected or out of budget, restarts
+    inside the loop. Its first run and its restarted run each equal a new
+    `dls_rows` call from that start and budget, bit for bit, while the rows
+    beside it run on."""
+    n = 24
+    lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
+    settings = ik._settings(params)
+    q_sol = chain.random_config(rng) * 0.5
+    goal = forward_kinematics(chain, q_sol).camera_pose
+    rot, p = goal.rotation(), goal.p
+    q0 = np.clip(q_sol + rng.uniform(-0.4, 0.4, (n, 7)), lo, hi)
+    q1 = np.clip(q_sol + rng.uniform(-0.4, 0.4, (n, 7)), lo, hi)
+    b0 = rng.integers(1, 25, n)
+    b1 = rng.integers(20, 41, n)
+    first = [dls_burst(chain, q0[i], rot, p, b0[i], lo, hi, **settings) for i in range(n)]
+    second = [dls_burst(chain, q1[i], rot, p, b1[i], lo, hi, **settings) for i in range(n)]
+    # Reject exactly the configurations the first runs converge to.
+    first_hits = {a[0].tobytes() for a in first if a[1]}
+    assert 0 < len(first_hits) < n                # some rejected, some out of budget
+    ended = {}
+
+    def reject_first_hits(q, links):
+        return np.array([row.tobytes() not in first_hits for row in q])
+
+    def restart(rows, used):
+        again = np.array([r not in ended for r in rows])
+        ended.update((int(r), int(u)) for r, u in zip(rows, used))
+        return again, q1[rows[again]], b1[rows[again]]
+
+    q, converged, used = dls_rows(chain, q0, rot, p, b0, lo, hi, accept=reject_first_hits,
+                                  restart=restart, **settings)
+    assert sorted(ended) == list(range(n)) and len(set(ended.values())) > 1
+    for i in range(n):
+        assert ended[i] == first[i][2]
+        qi, ci, ui = second[i]
+        assert np.array_equal(q[i], qi) and converged[i] == ci and used[i] == ui
 
 
 def _count_bursts(monkeypatch):

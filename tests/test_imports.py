@@ -22,8 +22,6 @@ BENCH = ROOT / "perfbench"
 
 # Functions that only tests call, kept on purpose, with the reason.
 TEST_ONLY = {
-    "world.save_grid": "occupancy-grid dump for inspection; no command writes one yet",
-    "world.load_grid": "reads the occupancy-grid dump back",
     "kinematics.save_chain": "chain file; configs embed their chain, no command writes one",
     "kinematics.load_chain": "reads a chain file back",
 }

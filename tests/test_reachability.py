@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachtrack.geometry import segment_distances
-from reachtrack import ik
+from reachtrack import _fastkin, ik
 from reachtrack.ik import IkParams, ik_reachable, reach_rows
 from reachtrack.kinematics import forward_kinematics, self_collision, world_capsules
 from reachtrack.reachability import (
@@ -149,6 +149,28 @@ class TestBuild:
             build_map(chain, (1, 1, 1), (0, 0, 0))
 
 
+def _record_restarts(monkeypatch):
+    """Spy on `ik.dls_rows`: log each row that `accept` rejects and each row
+    that `restart` sends again, in order."""
+    events = []
+    dls_rows = ik.dls_rows
+
+    def spy(*args, accept, restart, **kwargs):
+        def counted(q, links):
+            ok = accept(q, links)
+            events.extend(["rejected"] * int((~ok).sum()))
+            return ok
+
+        def restarted(rows, used):
+            again, starts, budgets = restart(rows, used)
+            events.extend(["restarted"] * int(again.sum()))
+            return again, starts, budgets
+        return dls_rows(*args, accept=counted, restart=restarted, **kwargs)
+
+    monkeypatch.setattr(ik, "dls_rows", spy)
+    return events
+
+
 class TestBatchedCells:
     """Cells score all orientation x restart rows as one batch."""
 
@@ -195,33 +217,46 @@ class TestBatchedCells:
 
     def test_rejected_rows_restart_like_sequential(self, chain, monkeypatch):
         """Beside the base many converged rows self-collide. The check runs
-        inside the DLS iterations: a rejected row leaves its group's batch
-        and restarts, and its group's other rows run on. Every orientation's
-        verdict equals the one-restart-at-a-time reference."""
-        verdicts, rounds = [], []
-        dls_rows = ik.dls_rows
+        inside the DLS iterations: a rejected row restarts in the same loop,
+        and its group's other rows run on. Every orientation's verdict
+        equals the one-restart-at-a-time reference."""
+        events = _record_restarts(monkeypatch)
+        hit_after_restart = False
+        for center in ([0.1, 0.1, 0.3], [0.15, 0.15, 0.4]):
+            for k, euler in enumerate(self._eulers(16, 5)):
+                target = Pose6(p=np.array(center), r=euler)
+                events.clear()
+                got = ik_reachable(chain, target, seed=k, restarts=4, params=self.IK)
+                assert got == sequential_ik_reachable(chain, target, k, 4, self.IK)
+                # The whole budget is one burst, so only a rejected row has
+                # budget left to restart. A row restarts when it is rejected,
+                # so a target hit in a call that restarted is hit later.
+                assert events.count("restarted") <= events.count("rejected")
+                hit_after_restart |= got and "restarted" in events
+        assert hit_after_restart
 
-        def spy(*args, accept, groups, **kwargs):
-            def counted(q):
-                ok = accept(q)
-                verdicts.append(ok)
-                return ok
-            rounds.append(groups)
-            return dls_rows(*args, accept=counted, groups=groups, **kwargs)
+    def test_cell_runs_at_most_the_iteration_budget(self, chain, monkeypatch):
+        """A cell's orientations and restarts share one DLS loop, so the loop
+        runs at most `max_iterations` iterations, restarts included."""
+        iterations = []
+        rotation_logs = _fastkin.rotation_logs
 
-        monkeypatch.setattr(ik, "dls_rows", spy)
+        def counted(m):
+            iterations.append(len(m))
+            return rotation_logs(m)
+
+        monkeypatch.setattr(_fastkin, "rotation_logs", counted)
+        events = _record_restarts(monkeypatch)
         center = np.array([0.1, 0.1, 0.3])
-        hit_after_rejection = restarted = False
-        for k, euler in enumerate(self._eulers(16, 5)):
-            target = Pose6(p=center, r=euler)
-            verdicts.clear()
-            rounds.clear()
-            got = ik_reachable(chain, target, seed=k, restarts=4, params=self.IK)
-            assert got == sequential_ik_reachable(chain, target, k, 4, self.IK)
-            rejected = sum(int((~ok).sum()) for ok in verdicts)
-            hit_after_rejection |= got and rejected > 0
-            restarted |= rejected > 0 and len(rounds) > 1
-        assert hit_after_rejection and restarted
+        rots = sample_orientations(20, 3)
+        q0 = np.random.default_rng(9).uniform(-2.9, 2.9, (len(rots), 4, 7))
+        # One burst per start, and bursts of 30 that spend a start's budget.
+        for params in (self.IK, IkParams(max_iterations=80, burst_iterations=30)):
+            iterations.clear()
+            events.clear()
+            reach_rows(chain, q0, rots, np.broadcast_to(center, (len(rots), 3)), params)
+            assert "restarted" in events
+            assert len(iterations) <= params.max_iterations
 
 
 class TestPersistence:

@@ -12,6 +12,7 @@ from reachtrack.transforms import (
     normalize_angle,
     rotation_log,
 )
+from reachtrack.reachability import sample_orientations
 from reference import axis_angle_to_matrix
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -41,6 +42,20 @@ def test_euler_gimbal_branch(pitch):
     m = euler_xyz_to_matrix([0.4, pitch, -0.7])
     m2 = euler_xyz_to_matrix(matrix_to_euler_xyz(m))
     assert np.linalg.norm(m - m2) < 1e-9
+
+
+def test_euler_rows_bit_equal_to_scalar():
+    """Rows give the stacked scalar matrices bit for bit, over the map's
+    sampled orientations and angles at +-pi."""
+    eulers = np.array([matrix_to_euler_xyz(m) for m in sample_orientations(400, 0)])
+    edges = np.array([[np.pi, -np.pi, np.pi], [-np.pi, np.pi / 2, 0.0],
+                      [np.pi, 0.0, -np.pi], [0.3, -np.pi, np.pi], [0.0, 0.0, 0.0]])
+    for rows in (eulers, edges, normalize_angle(edges)):
+        got = euler_xyz_to_matrix(rows)
+        assert got.shape == (len(rows), 3, 3)
+        assert np.array_equal(got, np.array([euler_xyz_to_matrix(r) for r in rows]))
+    poses = np.array([Pose6(r=r).rotation() for r in eulers])
+    assert np.array_equal(euler_xyz_to_matrix(normalize_angle(eulers)), poses)
 
 
 @given(rx=angles, ry=angles, rz=angles)

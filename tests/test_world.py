@@ -16,11 +16,9 @@ from reachtrack.world import (
     Sphere,
     capsule_body_distance,
     cone_grid_distance,
-    load_grid,
     min_body_distance,
     point_grid_distance,
     rasterize,
-    save_grid,
     segment_visibility,
 )
 
@@ -319,18 +317,6 @@ class TestGroundTruth:
                           body_id="s")
         caps = [(np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), 0.1)]
         assert min_body_distance(caps, [body]) == pytest.approx(0.2 - 0.3 - 0.1, abs=1e-12)
-
-
-def test_grid_dump_round_trip(tmp_path, rng):
-    grid = OccupancyGrid.empty((0.1, -0.2, 0.3), 0.05, (6, 7, 8))
-    grid.cells[:] = rng.random(grid.dims) < 0.3
-    path = tmp_path / "grid.bin"
-    save_grid(grid, path, config_hash="abc123")
-    loaded = load_grid(path)
-    assert np.array_equal(loaded.cells, grid.cells)
-    assert loaded.resolution == grid.resolution
-    assert np.allclose(loaded.origin, grid.origin)
-    assert b"abc123" in path.read_bytes()
 
 
 @given(seed=st.integers(0, 2**31 - 1))
