@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: build-map, run, ablate, bench, export-slice. A single config
+Subcommands: build-map, run, ablate, export-slice. A single config
 file drives everything; only seed, run count and the ablation mask have
 override flags. Exit code 0 on success; failures print one
 "error-class: message" line to stderr.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -18,12 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kinematics as kin
 from . import sim
 from .config import ConfigError, ExperimentConfig, default_config, load_config
-from .ik import ik_solve
 from .kinematics import ChainSchemaError
-from .planner import PlannerInput, calibrate_eval_cap, plan_step
 from .reachability import (
     MapChainMismatchError,
     build_map,
@@ -32,7 +30,6 @@ from .reachability import (
     slice_rows,
 )
 from .scenarios import AblationMask, ScenarioSpec
-from .world import PlacedBody, Sphere, rasterize
 
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
@@ -183,81 +180,15 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _bench_states(cfg: ExperimentConfig, rmap):
-    """Representative desk states for timing: arm tracking, obstacle near."""
-    spec = replace(cfg.scenario, kind=1,
-                   obstacles=replace(cfg.scenario.obstacles, count=2))
-    state = sim.init_run(spec, cfg.chain, cfg.planner, cfg.ik, 0)
-    target_p = state.target_path.pos
-    bodies = [PlacedBody(shape=Sphere(0.15),
-                         center=0.5 * (state.camera.p + target_p) + np.array([0.0, 0.1, 0.0]),
-                         body_id="bench")]
-    grid = rasterize(bodies, spec.workspace_lo, spec.grid_resolution,
-                     sim._grid_dims(spec),
-                     exclude_capsules=kin.world_capsules(cfg.chain, state.q),
-                     target_body=PlacedBody(shape=Sphere(spec.target.body_radius),
-                                            center=target_p, body_id="target"))
-    inp = PlannerInput(x_ee=state.camera, x_target=state.estimate,
-                       grid=grid, reach_map=rmap)
-    return spec, state, bodies, grid, inp, target_p
-
-
-def cmd_bench(args) -> int:
-    cfg = _load(args)
-    rmap = _load_required_map(args, cfg)
-    spec, state, bodies, grid, inp, target_p = _bench_states(cfg, rmap)
-    reps = args.reps
-
-    raster_times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        rasterize(bodies, spec.workspace_lo, spec.grid_resolution,
-                  sim._grid_dims(spec),
-                  exclude_capsules=kin.world_capsules(cfg.chain, state.q),
-                  target_body=PlacedBody(shape=Sphere(spec.target.body_radius),
-                                         center=target_p, body_id="target"))
-        raster_times.append((time.perf_counter() - t0) * 1e3)
-
-    plan_times = []
-    rng = np.random.default_rng(0)
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        plan = plan_step(inp, cfg.planner)
-        plan_times.append((time.perf_counter() - t0) * 1e3)
-
-    ik_times = []
-    for _ in range(reps):
-        jitter = rng.uniform(-0.02, 0.02, 3)
-        target = sim._look_at(state.camera.p + jitter, target_p)
-        t0 = time.perf_counter()
-        ik_solve(cfg.chain, target, state.q, grid, cfg.ik)
-        ik_times.append((time.perf_counter() - t0) * 1e3)
-
-    def stats(ts):
-        return {"median_ms": float(np.median(ts)), "p95_ms": float(np.percentile(ts, 95))}
-
-    report = {
-        "config": cfg.hash(),
-        "reps": reps,
-        "plan_step": stats(plan_times),
-        "ik_solve": stats(ik_times),
-        "rasterize": stats(raster_times),
-        "calibrated_eval_cap_20ms": calibrate_eval_cap(inp, cfg.planner),
-        "budgets_ms": {"plan_step": 20.0, "ik_solve": 30.0, "rasterize": 50.0},
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        out = _outdir(args)
-        (out / "bench.json").write_text(text + "\n")
-    print(text)
-    return 0
-
-
 def cmd_export_slice(args) -> int:
     cfg = _load(args)
+    if not math.isfinite(args.z):
+        raise CliError("config-error", f"--z must be a finite height, got {args.z}",
+                       EXIT_CONFIG)
     rmap = _load_required_map(args, cfg)
     rows = slice_rows(rmap, args.z)
     out_path = Path(args.out_file)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         fh.write(f"# config={cfg.hash()}\n")
         writer = csv.writer(fh)
@@ -303,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("bench", help="time plan/ik/rasterize on this machine")
-    common(p, out=False)
-    p.add_argument("--map", default="out/map.bin")
-    p.add_argument("--out", default=None, help="also write bench.json here")
-    p.add_argument("--reps", type=int, default=40)
-
     p = sub.add_parser("export-slice", help="export a horizontal map layer as CSV")
     common(p, out=False)
     p.add_argument("--map", default="out/map.bin")
@@ -321,7 +246,6 @@ COMMANDS = {
     "build-map": cmd_build_map,
     "run": cmd_run,
     "ablate": cmd_ablate,
-    "bench": cmd_bench,
     "export-slice": cmd_export_slice,
 }
 

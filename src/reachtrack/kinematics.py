@@ -246,21 +246,6 @@ def _transform(data: dict, key: str, label: str) -> np.ndarray:
     return transform_from_xyz_rpy(xyz, rpy)
 
 
-def load_chain(path) -> KinematicChain:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ChainSchemaError(f"not valid JSON: {exc}") from exc
-    return KinematicChain.from_dict(data)
-
-
-def save_chain(chain: KinematicChain, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 # -- forward kinematics ----------------------------------------------------
 
 @dataclass

@@ -14,12 +14,10 @@ descent is one 12-row batch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .reachability import ReachabilityMap
 from .transforms import Pose6
@@ -221,7 +219,13 @@ def plan_step(inp: PlannerInput, params: PlannerParams,
     deterministic probe set seeds a second descent when it finds a better
     basin. The result never leaves the box and never has a higher objective
     than the zero delta (holding the pose is always feasible).
+
+    SciPy is imported here, not at module load, so map builds and the CLI
+    never load it: the first call of a process pays the import, and in
+    `reachtrack run` the first tick's `plan_ms` includes it.
     """
+    from scipy.optimize import minimize
+
     budget = params.max_evaluations if eval_cap is None else int(eval_cap)
     lo, hi = params.delta_lower, params.delta_upper
     evals = 0
@@ -276,22 +280,3 @@ def plan_step(inp: PlannerInput, params: PlannerParams,
         degraded = True
     return PlanResult(delta=best_x, objective=float(best_f),
                       evaluations=evals, degraded=degraded)
-
-
-def calibrate_eval_cap(inp: PlannerInput, params: PlannerParams,
-                       budget_ms: float = 20.0, sample: int = 64,
-                       safety: float = 0.8) -> int:
-    """Evaluation cap such that one plan_step fits the wall-clock budget.
-
-    Times the objective on this machine and scales the configured cap; used
-    by benchmark/real-time callers, while simulation runs keep the fixed
-    configured cap for determinism.
-    """
-    rng = np.random.default_rng(0)
-    deltas = rng.uniform(params.delta_lower, params.delta_upper, size=(sample, 6))
-    t0 = time.perf_counter()
-    for d in deltas:
-        objective(inp, params, d)
-    per_eval = (time.perf_counter() - t0) / sample
-    cap = int(safety * (budget_ms / 1e3) / max(per_eval, 1e-9))
-    return max(40, min(cap, params.max_evaluations))

@@ -8,7 +8,6 @@ interpolate position only.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +170,7 @@ def build_map(chain: KinematicChain, box_lo, box_hi,
     if workers <= 1:
         scores = _score_cells(chain, centers, flat, eulers, seed, restarts, ik_params)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         chunks = np.array_split(np.arange(len(centers)), workers * 4)
         scores = np.zeros(len(centers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

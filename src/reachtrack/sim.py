@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -292,6 +291,7 @@ def run(spec: ScenarioSpec, chain: kin.KinematicChain,
         results = _run_chunk(spec, chain, planner_params, ik_params, rmap,
                              indices, collect_steps)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         chunks = np.array_split(np.asarray(indices), workers)
         results = [None] * spec.runs
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reachtrack.config import ConfigError, config_from_dict, default_config_dict
+from reachtrack.config import (
+    ConfigError,
+    config_from_dict,
+    default_config,
+    default_config_dict,
+)
 from reachtrack.reachability import ReachabilityMap, save_map
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -138,3 +143,32 @@ def test_cli_map_chain_mismatch(tmp_path):
     done = _cli(tmp_path, default_config_dict(),
                 "export-slice", "--z", "1.0", "--map", str(tmp_path / "map.bin"))
     _assert_error_line(done, 2, "map-chain-mismatch", "map was built for chain another-chain")
+
+
+def _desk_map(tmp_path):
+    """A 2 × 2 × 2 map of 0.5 m cells built for the default config's chain."""
+    rmap = ReachabilityMap(origin=np.zeros(3), resolution=0.5, dims=(2, 2, 2),
+                           scores=np.arange(8.0).reshape(2, 2, 2) / 8,
+                           chain_hash=default_config().chain.hash())
+    save_map(rmap, tmp_path / "map.bin")
+    return tmp_path / "map.bin"
+
+
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_cli_export_slice_rejects_non_finite_z(tmp_path, z):
+    done = _cli(tmp_path, default_config_dict(),
+                "export-slice", "--z", z, "--map", str(_desk_map(tmp_path)))
+    _assert_config_error(done, f"--z must be a finite height, got {z}")
+    assert not (tmp_path / "slice.csv").exists()
+
+
+def test_cli_export_slice_creates_the_out_file_directory(tmp_path):
+    out_file = tmp_path / "missing" / "dir" / "s.csv"
+    done = _cli(tmp_path, default_config_dict(), "export-slice", "--z", "0.7",
+                "--map", str(_desk_map(tmp_path)), "--out-file", str(out_file))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(out_file)
+    lines = out_file.read_text().splitlines()
+    assert lines[1] == "x,y,z,score"
+    assert [float(row.split(",")[2]) for row in lines[2:]] == [0.75] * 4
+    assert [float(row.split(",")[3]) for row in lines[2:]] == [0.125, 0.375, 0.625, 0.875]

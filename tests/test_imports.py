@@ -21,10 +21,7 @@ PACKAGE = ROOT / "src" / "reachtrack"
 BENCH = ROOT / "perfbench"
 
 # Functions that only tests call, kept on purpose, with the reason.
-TEST_ONLY = {
-    "kinematics.save_chain": "chain file; configs embed their chain, no command writes one",
-    "kinematics.load_chain": "reads a chain file back",
-}
+TEST_ONLY = {}
 
 
 def _annotation_names(tree):

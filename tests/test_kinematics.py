@@ -12,8 +12,6 @@ from reachtrack.kinematics import (
     default_chain,
     forward_kinematics,
     jacobian,
-    load_chain,
-    save_chain,
     self_collision,
     self_collision_rows,
     world_capsules,
@@ -167,22 +165,18 @@ class TestSelfCollision:
 
 
 class TestChainSchema:
-    def test_round_trip(self, tmp_path, chain):
-        path = tmp_path / "chain.json"
-        save_chain(chain, path)
-        loaded = load_chain(path)
+    def test_round_trip(self, chain):
+        loaded = KinematicChain.from_dict(json.loads(json.dumps(chain.to_dict())))
         assert loaded.hash() == chain.hash()
         q = np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4, 0.8])
         assert np.allclose(forward_kinematics(loaded, q).camera_frame,
                            forward_kinematics(chain, q).camera_frame, atol=1e-12)
 
-    def test_missing_field_named(self, tmp_path, chain):
+    def test_missing_field_named(self, chain):
         data = chain.to_dict()
         del data["joints"][3]["axis"]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
         with pytest.raises(ChainSchemaError, match=r"joints\[3\].axis"):
-            load_chain(path)
+            KinematicChain.from_dict(data)
 
     def test_wrong_joint_count(self, chain):
         data = chain.to_dict()
